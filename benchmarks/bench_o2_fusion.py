@@ -1,4 +1,4 @@
-"""Micro-benchmark: the ``optimize="O2"`` tier (map fusion + CSE) vs ``O1``.
+"""Micro-benchmark: the ``optimize="O2"`` tier (map fusion + value numbering) vs ``O1``.
 
 For a set of fusion-relevant kernels (the ``bias_act`` deep-learning epilogue,
 ``softmax``, and the ``vadv`` weather sweep) this compiles the forward and

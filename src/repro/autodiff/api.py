@@ -5,8 +5,8 @@ changes** to the NumPy program being differentiated (the paper's headline
 usability property): the function is parsed, differentiated at the IR level
 and compiled to NumPy code that computes the gradients.
 
-Since the pipeline refactor both entry points are thin wrappers over
-:func:`repro.pipeline.compile_gradient`: simplification (at ``optimize="O1"``,
+Both entry points are thin wrappers over
+:func:`repro.pipeline.compile_request`: simplification (at ``optimize="O1"``,
 the default), checkpointing selection, reversal and codegen run as pipeline
 stages, the per-stage timings land on ``GradientFunction.report`` and repeated
 calls on an unchanged program hit the compilation cache.
@@ -14,82 +14,48 @@ calls on an unchanged program hit the compilation cache.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from repro.autodiff.engine import BackwardPassResult
 from repro.ir import SDFG
+from repro.pipeline.driver import CompileOptions, compile_request, to_sdfg
 
-
-def _to_sdfg(func_or_program) -> SDFG:
-    from repro.pipeline.driver import to_sdfg
-
-    return to_sdfg(func_or_program)
+#: ``strategy=`` is the AD API's historical spelling of ``checkpointing=``.
+_ALIASES = {"strategy": "checkpointing"}
 
 
 class GradientFunction:
     """A compiled gradient function.
 
-    Calling it runs the augmented forward+backward program and returns the
-    gradients with respect to ``wrt`` (a single array if one input was
-    requested, otherwise a dict keyed by input name).  With
-    ``return_value=True`` the forward output value is returned as well.
+    Built from :class:`~repro.pipeline.CompileOptions` keywords (``wrt=``,
+    ``optimize=``, ``backend=``, ... — table in docs/architecture.md;
+    ``strategy=`` is an alias of ``checkpointing=``) or from one ready-made
+    options object.  Calling it
+    runs the augmented forward+backward program and returns the gradients
+    with respect to ``wrt`` (a single array if one input was requested,
+    otherwise a dict keyed by input name).  With ``return_value=True`` the
+    forward output value is returned as well.
 
     The compilation itself runs through the pass pipeline; ``.report`` holds
     the per-stage timings (``print(df.report.pretty())``) and ``.cache_hit``
     says whether this instance reused a previously compiled program.
     """
 
-    def __init__(
-        self,
-        func_or_program,
-        wrt: Optional[Union[str, Sequence[str]]] = None,
-        strategy=None,
-        return_value: bool = False,
-        output: Optional[str] = None,
-        optimize: str = "O1",
-        symbol_values=None,
-        cache=None,
-        extra_passes: Sequence = (),
-        backend: Optional[str] = None,
-        memory_planning: Optional[bool] = None,
-        profile: bool = False,
-    ) -> None:
-        from repro.pipeline.driver import compile_gradient
-
-        self.forward_sdfg = _to_sdfg(func_or_program)
+    def __init__(self, func_or_program, options: Optional[CompileOptions] = None,
+                 **keywords) -> None:
+        if options is None:
+            options = CompileOptions.from_keywords(keywords, _ALIASES)
+        elif keywords or not isinstance(options, CompileOptions):
+            raise TypeError("compile options are keywords (wrt=..., ...) or one CompileOptions")
+        self.forward_sdfg = to_sdfg(func_or_program)
         #: The full compilation request, so transforms that recompile this
         #: gradient under a modified pipeline — ``repro.vmap(grad(f))``
         #: inserts its batching pass pre-AD — reproduce it exactly.
-        self.compile_spec = {
-            "wrt": wrt,
-            "strategy": strategy,
-            "return_value": return_value,
-            "output": output,
-            "optimize": optimize,
-            "symbol_values": symbol_values,
-            "cache": cache,
-            "extra_passes": tuple(extra_passes),
-            "backend": backend,
-            "memory_planning": memory_planning,
-            "profile": profile,
-        }
-        outcome = compile_gradient(
-            self.forward_sdfg,
-            wrt=wrt,
-            output=output,
-            checkpointing=strategy,
-            return_value=return_value,
-            optimize=optimize,
-            symbol_values=symbol_values,
-            cache=cache,
-            extra_passes=extra_passes,
-            backend=backend,
-            memory_planning=memory_planning,
-            profile=profile,
-        )
+        self.options = options
+        outcome = compile_request(self.forward_sdfg, options, gradient=True)
         self.result: BackwardPassResult = outcome.artifacts["backward"]
         self.wrt = list(self.result.gradient_names)
-        self.return_value = return_value
+        self.return_value = options.return_value
         self.compiled = outcome.compiled
         self.report = outcome.report
         self.cache_hit = outcome.cache_hit
@@ -123,11 +89,9 @@ class GradientFunction:
         return f"GradientFunction({self.result.sdfg.name!r}, wrt={self.wrt})"
 
 
-def grad(func_or_program, wrt=None, strategy=None, output=None,
-         optimize: str = "O1", backend: Optional[str] = None,
-         memory_planning: Optional[bool] = None,
-         profile: bool = False) -> GradientFunction:
-    """Reverse-mode gradient of a scalar-output program.
+def grad(func_or_program, **options) -> GradientFunction:
+    """Reverse-mode gradient of a scalar-output program; ``options`` as for
+    :class:`GradientFunction`.
 
     Examples
     --------
@@ -139,19 +103,9 @@ def grad(func_or_program, wrt=None, strategy=None, output=None,
     >>> df(np.ones(4))            # doctest: +SKIP
     array([0.54, 0.54, 0.54, 0.54])
     """
-    return GradientFunction(
-        func_or_program, wrt=wrt, strategy=strategy, output=output, optimize=optimize,
-        backend=backend, memory_planning=memory_planning, profile=profile,
-    )
+    return GradientFunction(func_or_program, **options)
 
 
-def value_and_grad(func_or_program, wrt=None, strategy=None, output=None,
-                   optimize: str = "O1", backend: Optional[str] = None,
-                   memory_planning: Optional[bool] = None,
-                   profile: bool = False) -> GradientFunction:
+def value_and_grad(func_or_program, **options) -> GradientFunction:
     """Like :func:`grad` but also returns the forward value."""
-    return GradientFunction(
-        func_or_program, wrt=wrt, strategy=strategy, return_value=True, output=output,
-        optimize=optimize, backend=backend, memory_planning=memory_planning,
-        profile=profile,
-    )
+    return GradientFunction(func_or_program, **{**options, "return_value": True})

@@ -1,4 +1,5 @@
-"""Batching subsystem: SDFG-level ``vmap`` plus a micro-batching runtime.
+"""Batching subsystem: SDFG-level ``vmap``, the transform the serving
+runtime (:mod:`repro.serve`) builds on.
 
 Two layers, built so one compilation amortises across many concurrent
 requests (the serving direction of the ROADMAP):
@@ -11,14 +12,12 @@ requests (the serving direction of the ROADMAP):
   SDFG, so the optimization tiers, the cost model, reverse-mode AD and the
   compilation cache apply unchanged; ``vmap(grad(f))`` and
   ``grad(vmap(f))`` both work, and one cache entry serves every batch size.
-* **The runtime**: :class:`BatchQueue` coalesces per-sample requests into
+* **The runtime** lives in :mod:`repro.serve`:
+  :class:`~repro.serve.BatchQueue` coalesces per-sample requests into
   batched kernel calls (configurable ``max_batch`` / ``max_wait_ms``,
   optional bucketed padding) and scatters the results back to per-request
-  futures, with synchronous and thread-based async front-ends.  The
-  fault-tolerant serving runtime it grew into lives in :mod:`repro.serve`
-  (deadlines, backpressure, supervision, bisection, circuit breaking —
-  ``docs/serving.md``); :mod:`repro.batching.serve` re-exports it here for
-  compatibility.
+  futures, with deadlines, backpressure, supervision, bisection and circuit
+  breaking (``docs/serving.md``).
 
 See ``docs/batching.md`` for transform semantics, the batching-rules table
 and a serving walkthrough; ``benchmarks/bench_batching.py`` measures the
@@ -32,7 +31,6 @@ from repro.batching.rules import (
     register_batching_rule,
 )
 from repro.batching.vmap import BatchedProgram, Vmap, vmap
-from repro.batching.serve import BatchQueue, BatchStats, bucketed
 
 __all__ = [
     "BatchInfo",
@@ -44,7 +42,4 @@ __all__ = [
     "BatchedProgram",
     "Vmap",
     "vmap",
-    "BatchQueue",
-    "BatchStats",
-    "bucketed",
 ]

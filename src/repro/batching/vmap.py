@@ -18,11 +18,12 @@ Two ways to batch a program, both backed by the same IR transform
 Because the batch size is a *symbolic* dimension inferred from argument
 shapes at call time, one compilation (one cache entry) serves every batch
 size — the property the micro-batching runtime
-(:mod:`repro.batching.serve`) builds on.
+(:mod:`repro.serve`) builds on.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.batching.transform import BatchInfo, InAxes, batch_sdfg
@@ -81,7 +82,7 @@ class BatchedProgram:
         self.name = f"{getattr(program, 'name', getattr(program, '__name__', 'program'))}_vmap"
         self._info: Optional[BatchInfo] = None
         self._compiled = None
-        self._compiled_key = None
+        self._compiled_options = None
 
     # -- lowering --------------------------------------------------------
     @property
@@ -102,24 +103,13 @@ class BatchedProgram:
         return self.info.sdfg
 
     # -- execution -------------------------------------------------------
-    def compile(self, optimize: str = "O1", cache=None,
-                backend: Optional[str] = None,
-                memory_planning: Optional[bool] = None,
-                profile: bool = False):
-        """Compile batched forward code through the pipeline (cached).
+    def compile(self, optimize: str = "O1", **options):
+        """Compile batched forward code through the pipeline (cached);
+        ``options`` are :class:`~repro.pipeline.CompileOptions` fields
+        (docs/architecture.md) and the result is memoised on them."""
+        from repro.pipeline.driver import compile_memoized
 
-        ``profile=True`` wraps the result with per-kernel runtime
-        instrumentation (see ``docs/observability.md``)."""
-        key = (optimize, backend, memory_planning, profile)
-        if self._compiled is None or self._compiled_key != key:
-            from repro.pipeline.driver import compile_forward
-
-            self._compiled = compile_forward(
-                self.to_sdfg(), optimize, cache=cache, backend=backend,
-                memory_planning=memory_planning, profile=profile,
-            ).compiled
-            self._compiled_key = key
-        return self._compiled
+        return compile_memoized(self, optimize, options)
 
     def __call__(self, *args, **kwargs):
         compiled = self._compiled if self._compiled is not None else self.compile()
@@ -154,9 +144,9 @@ def vmap(program, in_axes: InAxes = 0, batch_symbol: Optional[str] = None):
     from repro.autodiff.api import GradientFunction
 
     if isinstance(program, GradientFunction):
-        spec = dict(program.compile_spec)
-        spec["extra_passes"] = tuple(spec.get("extra_passes") or ()) + (
-            Vmap(in_axes=in_axes, batch_symbol=batch_symbol),
+        batching = Vmap(in_axes=in_axes, batch_symbol=batch_symbol)
+        return GradientFunction(
+            program.forward_sdfg,
+            replace(program.options, extra_passes=program.options.extra_passes + (batching,)),
         )
-        return GradientFunction(program.forward_sdfg, **spec)
     return BatchedProgram(program, in_axes=in_axes, batch_symbol=batch_symbol)

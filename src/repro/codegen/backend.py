@@ -81,18 +81,11 @@ class NumpyBackend(Backend):
     def compile(self, sdfg, func_name: str, result_names: list[str]):
         from repro.codegen.compiled import CompiledSDFG
         from repro.codegen.emitter import generate_source
-        from repro.codegen.runtime import build_runtime_namespace
+        from repro.codegen.runtime import build_runtime_namespace, load_driver
 
         source = generate_source(sdfg, func_name, result_names)
-        namespace = build_runtime_namespace()
-        try:
-            code = compile(source, filename=f"<repro:{sdfg.name}>", mode="exec")
-            exec(code, namespace)
-        except SyntaxError as exc:  # pragma: no cover - indicates an emitter bug
-            raise CodegenError(
-                f"Generated code for {sdfg.name} is invalid:\n{source}"
-            ) from exc
-        return CompiledSDFG(sdfg, source, namespace[func_name], result_names)
+        func = load_driver(source, func_name, build_runtime_namespace(), sdfg.name)
+        return CompiledSDFG(sdfg, source, func, result_names)
 
 
 def register_backend(name: str, backend: Backend) -> Backend:

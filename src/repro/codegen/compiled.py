@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.codegen.runtime import bind_arguments, build_runtime_namespace
+from repro.codegen.runtime import bind_arguments, build_runtime_namespace, load_driver
 from repro.ir import SDFG
 
 
@@ -44,10 +44,9 @@ class CompiledSDFG:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        namespace = build_runtime_namespace()
-        code = compile(self.source, filename=f"<repro:{self.sdfg.name}>", mode="exec")
-        exec(code, namespace)
-        self.func = namespace[self.func_name]
+        self.func = load_driver(
+            self.source, self.func_name, build_runtime_namespace(), self.sdfg.name
+        )
 
     def call_with_bindings(self, bindings: dict) -> dict:
         """Execute with an explicit name->value mapping (no inference)."""

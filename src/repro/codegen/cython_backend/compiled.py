@@ -34,10 +34,10 @@ from repro.codegen.cython_backend.build import (
 )
 from repro.codegen.cython_backend.emitter import NativeSourceEmitter, render_c_source
 from repro.codegen.cython_backend.lower import CKernel
-from repro.codegen.runtime import bind_arguments, build_runtime_namespace
+from repro.codegen.runtime import bind_arguments, build_runtime_namespace, load_driver
 from repro.ir import SDFG
 from repro.obs.clock import monotonic_ns
-from repro.util.errors import CodegenError, UnsupportedFeatureError
+from repro.util.errors import UnsupportedFeatureError
 
 
 def _native_namespace(library_path: str, kernels: list[CKernel]) -> dict:
@@ -99,9 +99,7 @@ class NativeCompiledSDFG(CompiledSDFG):
             self.c_source, self.digest, so_bytes=so_bytes
         )
         namespace = _native_namespace(self.library_path, self.kernels)
-        code = compile(self.source, filename=f"<repro:{self.sdfg.name}>", mode="exec")
-        exec(code, namespace)
-        self.func = namespace[self.func_name]
+        self.func = load_driver(self.source, self.func_name, namespace, self.sdfg.name)
 
     # -- calling (contiguity guard) ---------------------------------------
     def call_with_bindings(self, bindings: dict) -> dict:
@@ -139,10 +137,8 @@ class NativeCompiledSDFG(CompiledSDFG):
             namespace[kernel.name] = _TimedKernel(
                 namespace[kernel.name], kernel.name, sink
             )
-        code = compile(self.source, filename=f"<repro:{self.sdfg.name}>", mode="exec")
-        exec(code, namespace)
         clone = copy.copy(self)
-        clone.func = namespace[self.func_name]
+        clone.func = load_driver(self.source, self.func_name, namespace, self.sdfg.name)
         return clone
 
 
@@ -176,15 +172,8 @@ class CythonBackend(Backend):
         digest = source_digest(c_source)
         library_path = ensure_shared_object(c_source, digest)
         namespace = _native_namespace(library_path, emitter.kernels)
-        try:
-            code = compile(source, filename=f"<repro:{sdfg.name}>", mode="exec")
-            exec(code, namespace)
-        except SyntaxError as exc:  # pragma: no cover - indicates an emitter bug
-            raise CodegenError(
-                f"Generated driver for {sdfg.name} is invalid:\n{source}"
-            ) from exc
         return NativeCompiledSDFG(
-            sdfg, source, namespace[func_name], result_names,
+            sdfg, source, load_driver(source, func_name, namespace, sdfg.name), result_names,
             c_source=c_source, kernels=emitter.kernels, digest=digest,
             library_path=library_path,
         )

@@ -36,6 +36,18 @@ def build_runtime_namespace() -> dict:
     }
 
 
+def load_driver(source: str, func_name: str, namespace: dict, label: str):
+    """Compile and ``exec`` a generated driver in ``namespace`` and return its
+    entry function — the one place generated source becomes code (fresh
+    compiles, unpickling and profiling clones of both backends)."""
+    try:
+        code = compile(source, filename=f"<repro:{label}>", mode="exec")
+        exec(code, namespace)
+    except SyntaxError as exc:  # pragma: no cover - indicates an emitter bug
+        raise CodegenError(f"Generated code for {label} is invalid:\n{source}") from exc
+    return namespace[func_name]
+
+
 def bind_arguments(sdfg: SDFG, args: tuple, kwargs: Mapping[str, object]) -> dict:
     """Bind call arguments to SDFG containers and symbols.
 

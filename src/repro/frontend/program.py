@@ -65,7 +65,7 @@ class Program:
         self.name = name or func.__name__
         self._sdfg: Optional[SDFG] = None
         self._compiled = None
-        self._compiled_key = None
+        self._compiled_options = None
 
     # -- compilation pipeline ------------------------------------------------
     def to_sdfg(self) -> SDFG:
@@ -78,26 +78,18 @@ class Program:
     def sdfg(self) -> SDFG:
         return self.to_sdfg()
 
-    def compile(self, optimize: str = "O1", backend: Optional[str] = None,
-                profile: bool = False):
+    def compile(self, optimize: str = "O1", **options):
         """Compile executable forward code through the pass pipeline.
 
-        The result is memoised per instance *and* in the process-wide
-        compilation cache, so distinct :class:`Program` objects wrapping the
-        same source share one compiled artifact.  ``backend`` selects the
-        code-generation backend (``"numpy"`` default, ``"cython"`` native);
-        ``profile=True`` wraps the result with per-kernel runtime
-        instrumentation (see ``docs/observability.md``).
+        ``options`` are :class:`~repro.pipeline.CompileOptions` fields
+        (``backend=``, ``profile=``, ``cache=``, ... — table in
+        docs/architecture.md).  The result is memoised per instance on the
+        options *and* in the compilation cache, so distinct :class:`Program`
+        objects wrapping the same source share one compiled artifact.
         """
-        key = (optimize, backend, profile)
-        if self._compiled is None or self._compiled_key != key:
-            from repro.pipeline.driver import compile_forward
+        from repro.pipeline.driver import compile_memoized
 
-            self._compiled = compile_forward(
-                self.to_sdfg(), optimize, backend=backend, profile=profile
-            ).compiled
-            self._compiled_key = key
-        return self._compiled
+        return compile_memoized(self, optimize, options)
 
     # -- batching --------------------------------------------------------------
     def vmap(self, in_axes=0, batch_symbol=None):

@@ -287,45 +287,33 @@ class DifferentialRunner:
     def _repro_value(self, config: Config):
         """Compile and run one configuration; returns (value, fallback)."""
         spec = self.spec
-        backend = config.backend if config.backend != "numpy" else None
-        planning = config.planning
+        options = {
+            "optimize": config.tier,
+            "cache": self.cache,
+            "backend": config.backend if config.backend != "numpy" else None,
+            "memory_planning": config.planning,
+        }
         if config.mode == "forward":
-            outcome = compile_forward(
-                self.sdfg, config.tier, cache=self.cache, backend=backend,
-                memory_planning=planning,
-            )
+            outcome = compile_forward(self.sdfg, **options)
             value = outcome.compiled(**_copy_data(self.data))
             return np.asarray(value), outcome.report.backend_fallback
-        if config.mode == "grad":
-            gf = GradientFunction(
-                self.sdfg, wrt=spec.wrt(), optimize=config.tier,
-                cache=self.cache, backend=backend, memory_planning=planning,
-            )
-            raw = gf(**_copy_data(self.data))
+        if config.mode == "vmap":
+            batched = repro_vmap(self.sdfg, in_axes=spec.in_axes())
+            compiled = batched.compile(**options)
+            value = compiled(**_copy_data(self.batched_data))
+            fallback = getattr(compiled.pipeline_report, "backend_fallback", None)
+            return np.asarray(value), fallback
+        if config.mode in ("grad", "vmap_grad"):
+            gf = GradientFunction(self.sdfg, wrt=spec.wrt(), **options)
+            data = self.data
+            if config.mode == "vmap_grad":
+                gf = repro_vmap(gf, in_axes=spec.in_axes())
+                data = self.batched_data
+            raw = gf(**_copy_data(data))
             if not isinstance(raw, dict):
                 raw = {spec.wrt()[0]: raw}
             return ({k: np.asarray(v) for k, v in raw.items()},
                     gf.report.backend_fallback)
-        if config.mode == "vmap":
-            batched = repro_vmap(self.sdfg, in_axes=spec.in_axes())
-            compiled = batched.compile(
-                config.tier, cache=self.cache, backend=backend,
-                memory_planning=planning,
-            )
-            value = compiled(**_copy_data(self.batched_data))
-            fallback = getattr(compiled.pipeline_report, "backend_fallback", None)
-            return np.asarray(value), fallback
-        if config.mode == "vmap_grad":
-            gf = GradientFunction(
-                self.sdfg, wrt=spec.wrt(), optimize=config.tier,
-                cache=self.cache, backend=backend, memory_planning=planning,
-            )
-            batched_gf = repro_vmap(gf, in_axes=spec.in_axes())
-            raw = batched_gf(**_copy_data(self.batched_data))
-            if not isinstance(raw, dict):
-                raw = {spec.wrt()[0]: raw}
-            return ({k: np.asarray(v) for k, v in raw.items()},
-                    batched_gf.report.backend_fallback)
         raise ValueError(f"Unknown mode {config.mode!r}")
 
     # ----------------------------------------------------------- comparison

@@ -19,24 +19,18 @@ def copy_data(data: dict) -> dict:
             for k, v in data.items()}
 
 
-#: Backwards-compatible private alias (pre-PR-2 name).
-_copy_data = copy_data
-
-
 def dace_gradient_runner(spec: KernelSpec, preset: str = "S",
-                         strategy=None, optimize: str = "O1") -> Callable[[dict], np.ndarray]:
+                         **options) -> Callable[[dict], np.ndarray]:
     """Compile the DaCe-AD gradient of a kernel once (through the pass
-    pipeline); the returned callable computes the gradient for one data
-    dictionary."""
-    program = spec.program_for(preset)
-    outcome = compile_gradient(
-        program, wrt=[spec.wrt], checkpointing=strategy, optimize=optimize
-    )
+    pipeline; ``options`` are :class:`~repro.pipeline.CompileOptions` fields —
+    docs/architecture.md — with ``wrt`` defaulting to the kernel's); the
+    returned callable computes the gradient for one data dictionary."""
+    outcome = compile_gradient(spec.program_for(preset), **{"wrt": [spec.wrt], **options})
     compiled = outcome.compiled
     result = outcome.artifacts["backward"]
 
     def run(data: dict):
-        return compiled(**_copy_data(data))
+        return compiled(**copy_data(data))
 
     run.compiled = compiled  # type: ignore[attr-defined]
     run.backward_result = result  # type: ignore[attr-defined]
@@ -50,7 +44,7 @@ def jaxlike_gradient_runner(spec: KernelSpec) -> Optional[Callable[[dict], np.nd
         return None
 
     def run(data: dict):
-        _, gradient = spec.jaxlike_grad(_copy_data(data), spec.wrt)
+        _, gradient = spec.jaxlike_grad(copy_data(data), spec.wrt)
         return gradient
 
     return run
@@ -85,7 +79,7 @@ def run_kernel_comparison(
 ) -> KernelRunResult:
     """Time the gradient computation of one kernel under both engines."""
     data = spec.data(preset)
-    dace_run = dace_gradient_runner(spec, preset, strategy=strategy)
+    dace_run = dace_gradient_runner(spec, preset, checkpointing=strategy)
     dace_measurement = measure(lambda: dace_run(data), label=f"{spec.name}/dace",
                                repeats=repeats, warmup=warmup)
 

@@ -40,7 +40,7 @@ class ProfiledCompiledSDFG:
     ``pipeline_report``, ... all behave as before), so it drops into every
     place a :class:`~repro.codegen.CompiledSDFG` fits — including
     :class:`~repro.autodiff.GradientFunction` and
-    :class:`~repro.batching.BatchQueue`.
+    :class:`~repro.serve.BatchQueue`.
     """
 
     def __init__(

@@ -1,13 +1,20 @@
 """Global value numbering across the control-flow tree.
 
-:mod:`repro.passes.cse` deduplicates identical element-wise maps *within one
-state* — but the frontend gives every assignment its own state, so the
-common case of two statements computing the same expression (``a = x*y+1``
-followed later by ``b = x*y+1``) was left untouched (the pinned cross-state
-CSE gap).  This pass runs the same canonical-key matching
-(:func:`repro.passes.cse._node_key`: alpha-renamed expression, input
-memlets, output shape/dtype) over the *global* program order produced by
-:mod:`repro.passes.liveness`, merging duplicates across state boundaries.
+Two redundancies appear in lowered programs (and multiply after map fusion):
+
+* **repeated memlet reads** — one compute node reading the same container
+  element(s) through several connectors (``out * out`` lowers to two
+  connectors over the same subset); :func:`dedupe_connectors` merges them;
+* **duplicate compute nodes** — two element-wise maps computing the same
+  expression over the same inputs into two different transients, in one
+  state or — the common case, since the frontend gives every assignment its
+  own state — in two (``a = x*y+1`` followed later by ``b = x*y+1``).
+  :func:`global_value_numbering` matches them by a canonical key
+  (:func:`_node_key`: alpha-renamed expression, input memlets, output
+  shape/dtype) over the *global* program order produced by
+  :mod:`repro.passes.liveness`, keeps the first, redirects every read of
+  the second transient to the first and drops the duplicate node and its
+  descriptor.
 
 Scope and safety:
 
@@ -23,32 +30,124 @@ Scope and safety:
 * Between the two definitions there must be **no write** (at any nesting
   depth — conditional and loop-body writes count) to any input of the
   survivor or to its output; otherwise the later node takes over as the
-  merge candidate, exactly like per-state CSE.
+  merge candidate.
 * The duplicate's output must be an unprotected transient with no opaque
   (control-flow) reads, and both nodes must be the sole writers of their
   containers.
 
-Per-state duplicates are a special case of the above, so the default O2+/O3
-pipelines run this pass *instead of* per-state CSE
-(:func:`~repro.passes.cse.eliminate_common_subexpressions` remains available
-for explicit pipelines).  Every merged duplicate also removes one container
-from the program before AD runs — the backward pass then stores and streams
-one value instead of two, the saved-traffic credit the cost model prices via
+Every merged duplicate also removes one container from the program before
+AD runs — the backward pass then stores and streams one value instead of
+two, the saved-traffic credit the cost model prices via
 ``CostModelConfig.backward_traffic_credit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Optional
 
-from repro.ir.nodes import MapCompute
-from repro.ir.usage import collect_uses
-from repro.passes.cse import _node_key, _redirect_reads, _sole_writer, dedupe_connectors
+from repro.ir import MapCompute, SDFG
+from repro.ir.nodes import ComputeNode
+from repro.ir.subsets import Index, Range
+from repro.ir.usage import UseSites, collect_uses
 from repro.passes.liveness import compute_liveness
+from repro.symbolic import Const, Sym, as_expr, substitute
+from repro.symbolic.simplify import simplify
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ir.sdfg import SDFG
+
+def dedupe_connectors(node: ComputeNode) -> int:
+    """Merge input connectors of ``node`` that read the same data through the
+    same subset (and accumulate flag).  The expression is rewritten to use the
+    surviving connector; returns the number of connectors removed.
+
+    Only :class:`MapCompute` connectors are merged — library-node connectors
+    (``_a``/``_b``/``_in`` ...) are semantic slots the code generator looks up
+    by name, even when two of them read the same data.
+    """
+    if not isinstance(node, MapCompute):
+        return 0
+    canonical: dict[tuple, str] = {}
+    rename: dict[str, Sym] = {}
+    new_inputs = {}
+    for conn, memlet in node.inputs.items():
+        key = (memlet.data, memlet.subset, memlet.accumulate)
+        keep = canonical.get(key)
+        if keep is None:
+            canonical[key] = conn
+            new_inputs[conn] = memlet
+        else:
+            rename[conn] = Sym(keep)
+    if not rename:
+        return 0
+    node.inputs = new_inputs
+    node.expr = substitute(node.expr, rename)
+    return len(rename)
+
+
+def is_identity_elementwise_write(node: ComputeNode, desc) -> bool:
+    """True if ``node`` is a :class:`MapCompute` that overwrites every element
+    of ``desc`` exactly once, with map parameter ``k`` writing element ``k``
+    (the normal form :meth:`StateBuilder.emit_elementwise_write` produces for
+    full-container targets).  This is the producer shape map fusion and
+    value numbering can reason about: the container's contents are a pure
+    function of the node's inputs."""
+    if not isinstance(node, MapCompute) or node.output.accumulate:
+        return False
+    subset = node.output.subset
+    dims = tuple(subset) if subset is not None else ()
+    if len(dims) != len(node.params) or len(dims) != len(desc.shape):
+        return False
+    for dim, param, rng, size in zip(dims, node.params, node.ranges, desc.shape):
+        if not isinstance(dim, Index) or dim.value != Sym(param):
+            return False
+        if not isinstance(rng, Range):
+            return False
+        if simplify(rng.start) != Const(0) or simplify(rng.step) != Const(1):
+            return False
+        if simplify(rng.stop) != simplify(as_expr(size)):
+            return False
+    return True
+
+
+def _node_key(node: MapCompute, sdfg: SDFG) -> Optional[tuple]:
+    """Canonical identity of an element-wise map: two nodes get equal keys iff
+    they compute the same expression over the same input memlets onto outputs
+    of the same shape/dtype.  Map parameters and connector names are
+    alpha-renamed so spelling differences do not matter."""
+    desc = sdfg.arrays.get(node.output.data)
+    if desc is None or not is_identity_elementwise_write(node, desc):
+        return None
+    param_map = {p: Sym(f"__p{k}") for k, p in enumerate(node.params)}
+    items = []
+    for conn, memlet in node.inputs.items():
+        subset = memlet.subset.substituted(param_map) if memlet.subset is not None else None
+        items.append((memlet.data, repr(subset), memlet.accumulate, conn))
+    items.sort()
+    conn_map = {conn: Sym(f"__c{i}") for i, (_, _, _, conn) in enumerate(items)}
+    expr = substitute(node.expr, {**param_map, **conn_map})
+    ranges = tuple(rng.substituted(param_map) for rng in node.ranges)
+    return (
+        len(node.params),
+        repr(ranges),
+        tuple((data, sub, acc) for data, sub, acc, _ in items),
+        repr(expr),
+        desc.dtype.str,
+        desc.zero_init,
+    )
+
+
+def _redirect_reads(sdfg: SDFG, old: str, new: str) -> None:
+    for state in sdfg.all_states():
+        for node in state.nodes:
+            for conn, memlet in node.inputs.items():
+                if memlet.data == old:
+                    memlet.data = new
+
+
+
+def _sole_writer(uses: dict, name: str, node: ComputeNode) -> bool:
+    sites = uses.get(name, UseSites())
+    return len(sites.writes) == 1 and sites.writes[0].node is node
 
 
 @dataclass
@@ -66,11 +165,11 @@ class GVNResult:
 
 
 def global_value_numbering(
-    sdfg: "SDFG", protect: Iterable[str] = ()
+    sdfg: SDFG, protect: Iterable[str] = ()
 ) -> GVNResult:
     """Merge duplicate element-wise maps across states (module docstring has
     the exact soundness conditions).  ``protect`` names containers that must
-    survive; the return container always does.  Subsumes per-state CSE."""
+    survive; the return container always does."""
     protected = set(protect)
     return_name = getattr(sdfg, "return_name", None)
     if return_name:
@@ -92,7 +191,7 @@ def global_value_numbering(
     return result
 
 
-def _merge_one(sdfg: "SDFG", protected: set):
+def _merge_one(sdfg: SDFG, protected: set):
     info = compute_liveness(sdfg)
     uses = collect_uses(sdfg)
 
@@ -146,4 +245,9 @@ def _merge_one(sdfg: "SDFG", protected: set):
     return None
 
 
-__all__ = ["GVNResult", "global_value_numbering"]
+__all__ = [
+    "GVNResult",
+    "dedupe_connectors",
+    "global_value_numbering",
+    "is_identity_elementwise_write",
+]

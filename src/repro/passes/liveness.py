@@ -215,7 +215,7 @@ def _is_unconditional_full_write(event: LiveEvent, desc, loop: LoopRegion) -> bo
         return False
     if event.memlet.is_full_write(desc.shape):
         return True
-    from repro.passes.cse import is_identity_elementwise_write
+    from repro.passes.gvn import is_identity_elementwise_write
 
     return is_identity_elementwise_write(event.node, desc)
 

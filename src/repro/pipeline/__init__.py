@@ -32,11 +32,13 @@ from repro.pipeline.cache import (
     DEFAULT_CACHE,
 )
 from repro.pipeline.driver import (
+    CompileOptions,
     CompileOutcome,
     build_pipeline,
     compile,
     compile_forward,
     compile_gradient,
+    compile_request,
     run_pipeline,
     to_sdfg,
 )
@@ -54,7 +56,6 @@ from repro.pipeline.stages import (
     Autodiff,
     Codegen,
     CheckpointingSelection,
-    CommonSubexpressionElimination,
     ConstantBranchPruning,
     DeadCodeElimination,
     GlobalValueNumbering,
@@ -79,16 +80,17 @@ __all__ = [
     "CacheEntry",
     "CacheStats",
     "DEFAULT_CACHE",
+    "CompileOptions",
     "CompileOutcome",
     "build_pipeline",
     "run_pipeline",
     "compile",
     "compile_forward",
     "compile_gradient",
+    "compile_request",
     "to_sdfg",
     "ConstantBranchPruning",
     "DeadCodeElimination",
-    "CommonSubexpressionElimination",
     "GlobalValueNumbering",
     "MapFusion",
     "MemoryPlanning",

@@ -1,32 +1,30 @@
 """The compilation driver: pipeline assembly, caching and the top-level API.
 
-``repro.compile(program, optimize="O0"|"O1"|"O2", checkpointing=...)`` is the
-single entry point the rest of the package routes through:
+Every way to compile — ``repro.compile``, ``grad`` / ``value_and_grad``,
+``Program.compile``, ``vmap(...).compile``, the harness and fuzz runners —
+builds one frozen :class:`CompileOptions` from its keywords and hands it to
+:func:`compile_request`, the single place that turns knobs into a pipeline,
+a pass context and a cache key:
 
 * ``optimize="O1"`` (default) runs the paper's pre-AD cleanup — constant
   branch pruning followed by dead code elimination — before differentiation
   and code generation; ``"O0"`` compiles the program as written; ``"O2"``
-  additionally deduplicates identical element-wise maps (CSE) and fuses
-  producer/consumer maps so intermediate transients are never materialised;
-  ``"O3"`` makes fusion cost-model-driven — stencil-offset reads fuse when
-  modelled recompute cost stays below saved traffic, and gradient compiles
-  decline fusions the backward pass would recompute (see
+  additionally merges duplicate element-wise maps (global value numbering)
+  and fuses producer/consumer maps so intermediate transients are never
+  materialised; ``"O3"`` makes fusion cost-model-driven — stencil-offset
+  reads fuse when modelled recompute cost stays below saved traffic, and
+  gradient compiles decline fusions the backward pass would recompute (see
   docs/optimization-levels.md and docs/cost-model.md).
-* When a gradient is requested (``gradient=True``, a ``wrt`` list, or a
-  checkpointing spec), the pipeline appends checkpointing-strategy selection,
-  the reverse-mode AD stage and the terminal codegen stage, and the call
-  returns a :class:`~repro.autodiff.GradientFunction`.
+* When a gradient is requested, the pipeline appends checkpointing-strategy
+  selection, the reverse-mode AD stage and the terminal codegen stage.
 * Results are cached in :data:`~repro.pipeline.cache.DEFAULT_CACHE` keyed on
   the SDFG content hash and the pipeline configuration — recompiling an
   unchanged program is a hash plus a dictionary lookup.
-
-``grad`` / ``value_and_grad`` / ``Program.compile`` are thin wrappers over
-these helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.ir import SDFG
@@ -42,7 +40,6 @@ from repro.pipeline.stages import (
     Autodiff,
     Codegen,
     CheckpointingSelection,
-    CommonSubexpressionElimination,
     ConstantBranchPruning,
     DeadCodeElimination,
     GlobalValueNumbering,
@@ -53,9 +50,9 @@ from repro.pipeline.stages import (
 #: Ordered simplification stages per optimization level.  Each entry is a
 #: pass class or ``(class, extra_kwargs)``.  ``O0`` compiles the program as
 #: written; ``O1`` is the paper's pre-AD cleanup; ``O2`` adds duplicate-work
-#: elimination — global value numbering, the cross-state generalisation of
-#: per-state CSE — and producer/consumer map fusion; ``O3`` runs the same
-#: stages but makes fusion *cost-model-driven* (stencil offsets fuse when
+#: elimination — global value numbering, within and across states — and
+#: producer/consumer map fusion; ``O3`` runs the same stages but makes
+#: fusion *cost-model-driven* (stencil offsets fuse when
 #: the recompute-vs-traffic model pays, and gradient compiles decline
 #: fusions the backward pass would have to recompute — see
 #: repro/passes/cost.py and docs/cost-model.md).  All levels run before AD,
@@ -81,12 +78,7 @@ OPT_LEVELS: dict[str, tuple] = {
 
 #: Stages that take an ``extra_keep`` tuple of containers they must preserve
 #: even when those look dead/mergeable (gradient targets, result names).
-_KEEP_AWARE = (
-    DeadCodeElimination,
-    CommonSubexpressionElimination,
-    GlobalValueNumbering,
-    MapFusion,
-)
+_KEEP_AWARE = (DeadCodeElimination, GlobalValueNumbering, MapFusion)
 
 
 def to_sdfg(program) -> SDFG:
@@ -260,169 +252,178 @@ def run_pipeline(
     return outcome
 
 
-def compile_forward(
-    program,
-    optimize: str = "O1",
-    *,
-    symbol_values: Optional[Mapping[str, object]] = None,
-    cache: Union[CompilationCache, bool, None] = None,
-    extra_passes: Sequence = (),
-    func_name: Optional[str] = None,
-    result_names: Optional[list[str]] = None,
-    backend: Optional[str] = None,
-    memory_planning: Optional[bool] = None,
-    profile: bool = False,
-) -> CompileOutcome:
-    """Compile the forward program through the pipeline (cached).
+#: Fields that only make sense when a gradient is compiled.
+_GRADIENT_ONLY = ("wrt", "output", "checkpointing", "return_value")
 
-    With ``profile=True`` the returned ``outcome.compiled`` is wrapped in a
-    :class:`~repro.obs.ProfiledCompiledSDFG`: every execution feeds
-    per-kernel runtime histograms in the obs metrics registry (see
-    docs/observability.md).  The wrapper is applied *after* caching, so the
-    cache key and the cached object are unchanged.
+#: Field metadata of the two knobs that are deliberately *not* in the cache
+#: key: ``cache`` picks where to look, ``profile`` wraps the result after the
+#: lookup.  Every other field must change the key (tests/test_compile_options.py).
+_NOT_IN_KEY = {"cache_key": False}
+
+
+@dataclass(frozen=True)
+class CompileOptions:
+    """The knobs of one compilation request — the single definition every
+    entry point (``repro.compile``, ``grad``, ``Program.compile``, ...)
+    builds from its keywords.  The field table (default, effect, "in cache
+    key?") is in docs/architecture.md.
+
+    Construction normalises (``wrt`` / ``result_names`` become tuples,
+    ``symbol_values`` a sorted item tuple), so instances are hashable,
+    comparable and ``dataclasses.replace``-able; :meth:`from_keywords`
+    rejects unknown keywords.
     """
-    sdfg = to_sdfg(program)
-    manager = build_pipeline(
-        optimize,
-        extra_passes=extra_passes,
-        func_name=func_name,
-        result_names=result_names,
-        backend=backend,
-        memory_planning=memory_planning,
-    )
-    ctx = PassContext(
-        symbol_values=dict(symbol_values or {}),
-        options={"result_names": list(result_names) if result_names else None},
-    )
-    outcome = run_pipeline(sdfg, manager, ctx, cache=cache)
-    if profile:
-        from repro.obs.profile import profile_compiled
 
-        outcome.compiled = profile_compiled(outcome.compiled)
-    return outcome
+    optimize: str = "O1"
+    backend: Optional[str] = None
+    memory_planning: Optional[bool] = None
+    checkpointing: Any = None
+    wrt: Union[str, Sequence[str], None] = None
+    output: Optional[str] = None
+    return_value: bool = False
+    symbol_values: Union[Mapping[str, object], tuple] = ()
+    extra_passes: Sequence = ()
+    func_name: Optional[str] = None
+    result_names: Optional[Sequence[str]] = None
+    profile: bool = field(default=False, metadata=_NOT_IN_KEY)
+    cache: Union[CompilationCache, bool, None] = field(default=None, metadata=_NOT_IN_KEY)
+
+    def __post_init__(self) -> None:
+        def names(value):
+            if value is None:
+                return None
+            return (value,) if isinstance(value, str) else tuple(value)
+
+        for name, value in (
+            ("wrt", names(self.wrt)),
+            ("result_names", names(self.result_names)),
+            ("symbol_values", tuple(sorted(dict(self.symbol_values or ()).items()))),
+            ("extra_passes", tuple(self.extra_passes or ())),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_keywords(
+        cls, keywords: Mapping[str, Any], aliases: Mapping[str, str] = {}
+    ) -> "CompileOptions":
+        """Build options from an entry point's ``**keywords``.  ``aliases``
+        maps accepted alternative spellings to field names; any other
+        unknown keyword raises a ``TypeError`` listing the valid ones."""
+        keywords = dict(keywords)
+        for alias, name in aliases.items():
+            if alias in keywords:
+                if name in keywords:
+                    raise TypeError(f"pass {name}= or its alias {alias}=, not both")
+                keywords[name] = keywords.pop(alias)
+        valid = [f.name for f in fields(cls)]
+        unknown = sorted(set(keywords) - set(valid))
+        if unknown:
+            raise TypeError(
+                f"unexpected compile option(s) {', '.join(unknown)}; "
+                f"valid: {', '.join(valid + sorted(aliases))}"
+            )
+        return cls(**keywords)
+
+    @property
+    def wants_gradient(self) -> bool:
+        """True when any gradient-only field is set."""
+        return any(getattr(self, name) not in (None, False) for name in _GRADIENT_ONLY)
 
 
-def compile_gradient(
-    program,
-    wrt: Optional[Union[str, Sequence[str]]] = None,
-    output: Optional[str] = None,
-    checkpointing=None,
-    return_value: bool = False,
-    optimize: str = "O1",
-    *,
-    symbol_values: Optional[Mapping[str, object]] = None,
-    cache: Union[CompilationCache, bool, None] = None,
-    extra_passes: Sequence = (),
-    backend: Optional[str] = None,
-    memory_planning: Optional[bool] = None,
-    profile: bool = False,
-) -> CompileOutcome:
-    """Compile the forward+backward program through the pipeline (cached).
+def compile_request(program, options: CompileOptions, gradient: bool) -> CompileOutcome:
+    """Compile ``program`` as ``options`` say — forward code, or with
+    ``gradient`` the forward+backward program, whose outcome carries the
+    :class:`BackwardPassResult` under ``artifacts["backward"]``.
 
-    The outcome's ``artifacts["backward"]`` holds the
-    :class:`BackwardPassResult` (gradient container names, activity analysis,
-    storage plan).  ``profile=True`` wraps the compiled callable for
-    per-execution runtime histograms, exactly as in :func:`compile_forward`.
+    Every entry point ends here; it is the only place that turns knobs into
+    a configured ``(PassManager, PassContext)`` pair, hence into the cache
+    key ``(content hash, manager fingerprint, context fingerprint)``.
+    ``options.profile`` wraps ``outcome.compiled`` in a
+    :class:`~repro.obs.ProfiledCompiledSDFG` *after* the cache lookup, so
+    neither the key nor the cached object depends on it.
     """
-    if isinstance(wrt, str):
-        wrt = [wrt]
-    sdfg = to_sdfg(program)
+    if not gradient and options.wants_gradient:
+        raise PipelineError(
+            "a forward compile contradicts the gradient options "
+            f"{'/'.join(_GRADIENT_ONLY)}; drop them or request a gradient"
+        )
+    wrt = list(options.wrt) if options.wrt is not None else None
+    result_names = list(options.result_names) if options.result_names is not None else None
     manager = build_pipeline(
-        optimize,
-        gradient=True,
-        checkpointing=checkpointing,
+        options.optimize,
+        gradient=gradient,
+        checkpointing=options.checkpointing,
         wrt=wrt,
-        output=output,
-        return_value=return_value,
-        extra_passes=extra_passes,
-        backend=backend,
-        memory_planning=memory_planning,
+        output=options.output,
+        return_value=options.return_value,
+        func_name=options.func_name,
+        result_names=result_names,
+        extra_passes=options.extra_passes,
+        backend=options.backend,
+        memory_planning=options.memory_planning,
     )
     ctx = PassContext(
-        symbol_values=dict(symbol_values or {}),
-        options={
-            "wrt": list(wrt) if wrt is not None else None,
-            "output": output,
-            "return_value": return_value,
-        },
+        symbol_values=dict(options.symbol_values),
+        options=(
+            {"wrt": wrt, "output": options.output, "return_value": options.return_value}
+            if gradient
+            else {"result_names": result_names}
+        ),
     )
-    outcome = run_pipeline(sdfg, manager, ctx, cache=cache)
-    if outcome.cache_hit and hasattr(checkpointing, "last_report"):
+    outcome = run_pipeline(to_sdfg(program), manager, ctx, cache=options.cache)
+    if outcome.cache_hit and hasattr(options.checkpointing, "last_report"):
         # The cached compile skipped strategy.decide(); replay the stored
         # diagnostic so strategy.last_report behaves as on a cold compile.
         report = outcome.artifacts.get("checkpoint_report")
         if report is not None:
-            checkpointing.last_report = report
-    if profile:
+            options.checkpointing.last_report = report
+    if options.profile:
         from repro.obs.profile import profile_compiled
 
         outcome.compiled = profile_compiled(outcome.compiled)
     return outcome
 
 
+def compile_forward(program, optimize: str = "O1", **options) -> CompileOutcome:
+    """Compile the forward program through the pipeline (cached).
+    ``options`` are :class:`CompileOptions` fields (docs/architecture.md)."""
+    request = CompileOptions.from_keywords({"optimize": optimize, **options})
+    return compile_request(program, request, gradient=False)
+
+
+def compile_memoized(holder, optimize: str, options: Mapping[str, Any]):
+    """``Program.compile`` / ``BatchedProgram.compile``: forward-compile
+    ``holder.to_sdfg()`` and remember the request on the holder, so a repeat
+    with equal options (the cache included) skips even the cache lookup."""
+    request = CompileOptions.from_keywords({"optimize": optimize, **options})
+    if holder._compiled is None or holder._compiled_options != request:
+        holder._compiled = compile_request(holder.to_sdfg(), request, gradient=False).compiled
+        holder._compiled_options = request
+    return holder._compiled
+
+
+def compile_gradient(program, **options) -> CompileOutcome:
+    """Compile the forward+backward program through the pipeline (cached).
+    ``options`` are :class:`CompileOptions` fields (docs/architecture.md)."""
+    return compile_request(program, CompileOptions.from_keywords(options), gradient=True)
+
+
 def compile(  # noqa: A001 - deliberate: mirrors ``repro.compile``
-    program,
-    optimize: str = "O1",
-    *,
-    checkpointing=None,
-    gradient: Optional[bool] = None,
-    wrt: Optional[Union[str, Sequence[str]]] = None,
-    output: Optional[str] = None,
-    symbol_values: Optional[Mapping[str, object]] = None,
-    cache: Union[CompilationCache, bool, None] = None,
-    extra_passes: Sequence = (),
-    backend: Optional[str] = None,
-    memory_planning: Optional[bool] = None,
-    profile: bool = False,
+    program, optimize: str = "O1", *, gradient: Optional[bool] = None, **options
 ):
     """Top-level compilation entry point (re-exported as ``repro.compile``).
 
+    ``options`` are :class:`CompileOptions` fields (docs/architecture.md).
     Without gradient options this returns a :class:`CompiledSDFG` computing
     the forward program.  With ``gradient=True`` — or any of the gradient
-    options ``wrt``, ``output`` or ``checkpointing`` — it returns a
-    :class:`~repro.autodiff.GradientFunction`.  Both paths share the
-    compilation cache: a second call on an unchanged program with the same
-    configuration returns the previously compiled object.
-
-    ``backend`` selects the code generator (``"numpy"`` default,
-    ``"cython"`` for the native C backend with automatic per-program
-    fallback — see docs/backends.md).  ``profile=True`` turns on per-call
-    runtime profiling of the compiled callable: execution times land in
-    per-kernel histograms of the obs metrics registry, including the
-    native-segment vs NumPy-driver split under the cython backend (see
-    docs/observability.md).
+    options ``wrt``, ``output``, ``checkpointing`` or ``return_value`` — it
+    returns a :class:`~repro.autodiff.GradientFunction`.  Both paths share
+    the compilation cache: a second call on an unchanged program with the
+    same configuration returns the previously compiled object.
     """
-    if gradient is None:
-        gradient = wrt is not None or checkpointing is not None or output is not None
-    elif not gradient and (wrt is not None or checkpointing is not None or output is not None):
-        raise PipelineError(
-            "gradient=False contradicts the gradient options wrt/output/checkpointing; "
-            "drop gradient=False or the gradient options"
-        )
-    if gradient:
+    request = CompileOptions.from_keywords({"optimize": optimize, **options})
+    if gradient or (gradient is None and request.wants_gradient):
         from repro.autodiff.api import GradientFunction
 
-        return GradientFunction(
-            program,
-            wrt=wrt,
-            strategy=checkpointing,
-            output=output,
-            optimize=optimize,
-            symbol_values=symbol_values,
-            cache=cache,
-            extra_passes=extra_passes,
-            backend=backend,
-            memory_planning=memory_planning,
-            profile=profile,
-        )
-    outcome = compile_forward(
-        program,
-        optimize,
-        symbol_values=symbol_values,
-        cache=cache,
-        extra_passes=extra_passes,
-        backend=backend,
-        memory_planning=memory_planning,
-        profile=profile,
-    )
-    return outcome.compiled
+        return GradientFunction(program, request)
+    return compile_request(program, request, gradient=False).compiled

@@ -13,9 +13,7 @@ failures.  Failure modes surface as typed errors
 :mod:`repro.obs`.
 
 Deterministic fault injection for all of the above lives in
-:mod:`repro.faults`; the walkthrough is ``docs/serving.md``.  The original
-import path :mod:`repro.batching.serve` re-exports this package for
-compatibility.
+:mod:`repro.faults`; the walkthrough is ``docs/serving.md``.
 """
 
 from repro.serve.breaker import STATE_VALUES, CircuitBreaker, numpy_fallback

@@ -179,14 +179,16 @@ class CircuitBreaker:
         )
 
 
-def numpy_fallback(program, optimize: str = "O1", **compile_kwargs) -> Callable:
+def numpy_fallback(program, optimize: str = "O1", **options) -> Callable:
     """Lazy NumPy-backend fallback for a (batched) program.
 
     Returns a callable that, on first use, compiles ``program`` through the
     existing ``backend="numpy"`` pipeline path (``program.compile`` — works
     for :class:`~repro.batching.BatchedProgram` and plain programs alike;
-    usually a warm cache hit) and serves it from then on.  Compilation is
-    deferred so a breaker that never trips never pays for the fallback.
+    usually a warm cache hit) and serves it from then on.  ``options`` are
+    :class:`~repro.pipeline.CompileOptions` fields (docs/architecture.md);
+    ``backend`` is always forced to ``"numpy"``.  Compilation is deferred so
+    a breaker that never trips never pays for the fallback.
     """
     lock = threading.Lock()
     compiled: dict = {}
@@ -197,9 +199,7 @@ def numpy_fallback(program, optimize: str = "O1", **compile_kwargs) -> Callable:
             with lock:
                 fn = compiled.get("fn")
                 if fn is None:
-                    fn = program.compile(
-                        optimize=optimize, backend="numpy", **compile_kwargs
-                    )
+                    fn = program.compile(optimize, **{**options, "backend": "numpy"})
                     compiled["fn"] = fn
         return fn(**kwargs)
 

@@ -1,7 +1,7 @@
 """Small shared utilities used across the repro package.
 
 Nothing here is specific to the paper; these are the helpers a compiler-ish
-code base needs: error types, name generation, ordered sets and timing.
+code base needs: error types, name generation and ordered sets.
 """
 
 from repro.util.errors import (
@@ -15,7 +15,6 @@ from repro.util.errors import (
 )
 from repro.util.naming import NameGenerator, sanitize_identifier
 from repro.util.ordered import OrderedSet
-from repro.util.timing import Timer, measure_callable
 
 __all__ = [
     "ReproError",
@@ -28,6 +27,4 @@ __all__ = [
     "NameGenerator",
     "sanitize_identifier",
     "OrderedSet",
-    "Timer",
-    "measure_callable",
 ]

@@ -6,7 +6,7 @@ Verifies, for every Markdown file in ``docs/`` plus ``README.md`` and
 * every relative Markdown link ``[text](target)`` resolves to an existing
   file (fragments are stripped; absolute URLs are ignored);
 * every backticked code reference that names a file or directory
-  (``src/repro/passes/cse.py``, ``benchmarks/``, ``repro/pipeline/`` —
+  (``src/repro/passes/gvn.py``, ``benchmarks/``, ``repro/pipeline/`` —
   package-relative paths are also tried under ``src/``) exists;
 * ``path.py::identifier`` test references point at existing files.
 

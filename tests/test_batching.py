@@ -16,11 +16,9 @@ import pytest
 
 import repro
 from repro.batching import (
-    BatchQueue,
     BatchedProgram,
     Vmap,
     batch_sdfg,
-    bucketed,
     resolve_in_axes,
     vmap,
 )
@@ -29,7 +27,8 @@ from repro.ir.serialize import sdfg_from_dict, sdfg_to_dict
 from repro.ir.subsets import Index, Range, Subset
 from repro.pipeline import CompilationCache, PassManager, compile_forward
 from repro.pipeline.pass_base import PASS_REGISTRY
-from repro.pipeline.stages import CommonSubexpressionElimination, MapFusion
+from repro.pipeline.stages import GlobalValueNumbering, MapFusion
+from repro.serve import BatchQueue, bucketed
 from repro.symbolic import Sym
 from repro.util.errors import UnsupportedFeatureError
 
@@ -365,7 +364,7 @@ class TestSerializeRoundTrip:
     def test_o3_fused_vmapped_sdfg_roundtrips(self):
         sdfg = vmap(make_smooth_chain()).to_sdfg()
         manager = PassManager(
-            [CommonSubexpressionElimination(), MapFusion(cost_driven=True)],
+            [GlobalValueNumbering(), MapFusion(cost_driven=True)],
             name="fuse-only",
         )
         fused, report = manager.run(sdfg)

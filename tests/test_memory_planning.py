@@ -26,7 +26,6 @@ from repro.fuzz.render import build_sdfg
 from repro.npbench import get_kernel
 from repro.passes import (
     compute_liveness,
-    eliminate_common_subexpressions,
     global_value_numbering,
     plan_memory,
     top_level_uses,
@@ -317,8 +316,8 @@ class TestPlanProperties:
 # ---------------------------------------------------------------------------
 class TestGlobalValueNumbering:
     def test_cross_state_duplicates_now_merge(self):
-        # The gap ``test_passes_o2.py`` pins for per-state CSE: the duplicate
-        # statements live in different states, and GVN merges them anyway.
+        # The frontend gives every assignment its own state, so the duplicate
+        # statements live in different states; GVN merges them anyway.
         @repro.program
         def dup(x: repro.float64[N], y: repro.float64[N]):
             a = x * y + 1.0
@@ -326,7 +325,6 @@ class TestGlobalValueNumbering:
             return np.sum(a + b)
 
         sdfg = dup.to_sdfg()
-        assert eliminate_common_subexpressions(sdfg.copy())[0] == 0
         result = global_value_numbering(sdfg)
         assert result.nodes_merged == 1
         assert ("b", "a") in result.merged

@@ -22,13 +22,13 @@ import pytest
 
 import repro
 from repro import obs
-from repro.batching import BatchQueue
 from repro.codegen.cython_backend import find_c_compiler
 from repro.npbench import get_kernel
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import ProfiledCompiledSDFG
 from repro.obs.trace import NOOP_SPAN, Tracer
 from repro.pipeline import CompilationCache, compile_forward
+from repro.serve import BatchQueue
 
 N = repro.symbol("N")
 
@@ -465,14 +465,11 @@ class TestLayerInstrumentation:
 
     def test_timing_helpers_share_the_obs_clock(self):
         from repro.harness import measure
-        from repro.util.timing import Timer, measure_callable
+        from repro.obs.clock import repeat_timed
 
-        with Timer() as timer:
-            pass
-        assert timer.elapsed >= 0
         calls = []
-        result = measure_callable(lambda: calls.append(1), repeats=3, warmup=2)
-        assert len(result.times) == 3 and len(calls) == 5
+        times, _ = repeat_timed(lambda: calls.append(1), repeats=3, warmup=2)
+        assert len(times) == 3 and len(calls) == 5
         measurement = measure(lambda: None, label="noop", repeats=4, warmup=1)
         assert len(measurement.times) == 4
 
