@@ -59,6 +59,11 @@ class GradientFunction:
         self.compiled = outcome.compiled
         self.report = outcome.report
         self.cache_hit = outcome.cache_hit
+        #: Result selection, fixed at compile time: these keys pick the
+        #: gradients out of the compiled program's result dict, unless its
+        #: lone result is the lone gradient (then it returns no dict).
+        self._gradient_keys = tuple(self.result.gradient_names[name] for name in self.wrt)
+        self._lone_result = len(self.compiled.result_names) == 1
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -73,17 +78,16 @@ class GradientFunction:
     # -- execution ----------------------------------------------------------------
     def __call__(self, *args, **kwargs):
         raw = self.compiled(*args, **kwargs)
-        if len(self.compiled.result_names) == 1:
-            raw = {self.compiled.result_names[0]: raw}
-        grads = {name: raw[self.result.gradient_names[name]] for name in self.wrt}
-        if len(self.wrt) == 1 and not self.return_value:
-            return grads[self.wrt[0]]
-        if not self.return_value:
-            return grads
-        value = raw[self.result.output]
-        if len(self.wrt) == 1:
-            return value, grads[self.wrt[0]]
-        return value, grads
+        if self._lone_result:
+            return raw
+        keys = self._gradient_keys
+        if len(keys) == 1:
+            grads = raw[keys[0]]
+        else:
+            grads = {name: raw[key] for name, key in zip(self.wrt, keys)}
+        if self.return_value:
+            return raw[self.result.output], grads
+        return grads
 
     def __repr__(self) -> str:
         return f"GradientFunction({self.result.sdfg.name!r}, wrt={self.wrt})"

@@ -6,8 +6,19 @@ from typing import Optional
 
 import numpy as np
 
-from repro.codegen.runtime import bind_arguments, build_runtime_namespace, load_driver
+from repro.codegen.runtime import (
+    bind_arguments,
+    build_runtime_namespace,
+    keep_binding_plan,
+    load_driver,
+)
 from repro.ir import SDFG
+
+
+def _unwrap(value):
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        return value.item()
+    return value
 
 
 class CompiledSDFG:
@@ -29,6 +40,7 @@ class CompiledSDFG:
         self.func = func
         self.func_name = func.__name__
         self.result_names = result_names
+        keep_binding_plan(sdfg)
 
     # -- pickling ---------------------------------------------------------
     # The executable function is an exec() product and cannot be pickled;
@@ -44,9 +56,14 @@ class CompiledSDFG:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        keep_binding_plan(self.sdfg)
         self.func = load_driver(
-            self.source, self.func_name, build_runtime_namespace(), self.sdfg.name
+            self.source, self.func_name, self._runtime_namespace(), self.sdfg.name
         )
+
+    def _runtime_namespace(self) -> dict:
+        """Globals the generated driver runs in."""
+        return build_runtime_namespace()
 
     def call_with_bindings(self, bindings: dict) -> dict:
         """Execute with an explicit name->value mapping (no inference)."""
@@ -66,21 +83,16 @@ class CompiledSDFG:
         return None
 
     def __call__(self, *args, **kwargs):
-        bindings = bind_arguments(self.sdfg, args, kwargs)
-        results = self.func(**bindings)
-        return self._postprocess(results)
+        return self._postprocess(
+            self.call_with_bindings(bind_arguments(self.sdfg, args, kwargs))
+        )
 
     def _postprocess(self, results: dict):
-        def unwrap(value):
-            if isinstance(value, np.ndarray) and value.ndim == 0:
-                return value.item()
-            return value
-
         if not self.result_names:
             return None
         if len(self.result_names) == 1:
-            return unwrap(results[self.result_names[0]])
-        return {name: unwrap(value) for name, value in results.items()}
+            return _unwrap(results[self.result_names[0]])
+        return {name: _unwrap(value) for name, value in results.items()}
 
     def __repr__(self) -> str:
         return (

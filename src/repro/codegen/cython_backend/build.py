@@ -213,8 +213,9 @@ class KernelCallable:
         self.n_arrays = n_arrays
 
     def __call__(self, *args):
-        converted = [
-            ctypes.c_void_p(array.ctypes.data) for array in args[: self.n_arrays]
-        ]
-        converted += [ctypes.c_int64(int(v)) for v in args[self.n_arrays:]]
-        self.function(*converted)
+        # ``argtypes`` converts the addresses and the ints.
+        count = self.n_arrays
+        self.function(
+            *[array.ctypes.data for array in args[:count]],
+            *[int(value) for value in args[count:]],
+        )

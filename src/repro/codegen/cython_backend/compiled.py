@@ -34,7 +34,7 @@ from repro.codegen.cython_backend.build import (
 )
 from repro.codegen.cython_backend.emitter import NativeSourceEmitter, render_c_source
 from repro.codegen.cython_backend.lower import CKernel
-from repro.codegen.runtime import bind_arguments, build_runtime_namespace, load_driver
+from repro.codegen.runtime import binding_plan, build_runtime_namespace, load_driver
 from repro.ir import SDFG
 from repro.obs.clock import monotonic_ns
 from repro.util.errors import UnsupportedFeatureError
@@ -83,8 +83,7 @@ class NativeCompiledSDFG(CompiledSDFG):
 
     # -- pickling (artifact round-trip) -----------------------------------
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["func"]
+        state = super().__getstate__()
         try:
             with open(self.library_path, "rb") as handle:
                 state["_so_bytes"] = handle.read()
@@ -93,31 +92,28 @@ class NativeCompiledSDFG(CompiledSDFG):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        so_bytes = state.pop("_so_bytes", None)
-        self.__dict__.update(state)
-        self.library_path = ensure_shared_object(
-            self.c_source, self.digest, so_bytes=so_bytes
+        state["library_path"] = ensure_shared_object(
+            state["c_source"], state["digest"], so_bytes=state.pop("_so_bytes", None)
         )
-        namespace = _native_namespace(self.library_path, self.kernels)
-        self.func = load_driver(self.source, self.func_name, namespace, self.sdfg.name)
+        super().__setstate__(state)
+
+    def _runtime_namespace(self) -> dict:
+        return _native_namespace(self.library_path, self.kernels)
 
     # -- calling (contiguity guard) ---------------------------------------
     def call_with_bindings(self, bindings: dict) -> dict:
-        contiguous = dict(bindings)
         write_back = []
-        for name, value in bindings.items():
+        for name in binding_plan(self.sdfg).array_names:
+            value = bindings.get(name)
             if isinstance(value, np.ndarray) and not value.flags.c_contiguous:
-                copy = np.ascontiguousarray(value)
-                contiguous[name] = copy
+                if not write_back:
+                    bindings = dict(bindings)
+                bindings[name] = copy = np.ascontiguousarray(value)
                 write_back.append((value, copy))
-        results = self.func(**contiguous)
+        results = self.func(**bindings)
         for original, copy in write_back:
             original[...] = copy
         return results
-
-    def __call__(self, *args, **kwargs):
-        bindings = bind_arguments(self.sdfg, args, kwargs)
-        return self._postprocess(self.call_with_bindings(bindings))
 
     # -- per-kernel profiling ----------------------------------------------
     def with_kernel_timers(self, sink):
@@ -132,7 +128,7 @@ class NativeCompiledSDFG(CompiledSDFG):
         """
         import copy
 
-        namespace = _native_namespace(self.library_path, self.kernels)
+        namespace = self._runtime_namespace()
         for kernel in self.kernels:
             namespace[kernel.name] = _TimedKernel(
                 namespace[kernel.name], kernel.name, sink

@@ -3,7 +3,8 @@ which generated functions execute."""
 
 from __future__ import annotations
 
-from typing import Mapping
+import weakref
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.special import erf as _scipy_erf
@@ -48,88 +49,159 @@ def load_driver(source: str, func_name: str, namespace: dict, label: str):
     return namespace[func_name]
 
 
+class BindingPlan:
+    """What binding a call needs of a finished SDFG, derived once.
+
+    Built from the SDFG alone and never written to afterwards, so one plan
+    serves concurrent calls of the same compiled program.
+    """
+
+    __slots__ = ("name", "slots", "symbols", "shapes", "externals", "array_names",
+                 "needed")
+
+    def __init__(self, sdfg: SDFG) -> None:
+        self.name = sdfg.name
+        #: Names that positional arguments fill, in order.
+        self.slots = tuple(sdfg.arg_names)
+        needed = set(sdfg.symbols) | sdfg.free_symbols()
+        needed -= {loop.itervar for loop in sdfg.all_loops()}
+        needed -= set(sdfg.arrays)
+        #: Symbols that must have a value once binding is done.
+        self.needed = tuple(sorted(needed))
+        #: Names a call may bind to an integer.
+        self.symbols = frozenset(sdfg.symbols) | needed
+        #: Shape inference, container -> (ndim, ((dim_index, symbol), ...)).
+        self.shapes: dict[str, tuple] = {}
+        #: Caller-provided containers, ``(name, dtype, dims)`` in SDFG order;
+        #: a dim is an ``int``, a symbol name or ``(expr, its free symbols)``.
+        externals = []
+        for name, desc in sdfg.arrays.items():
+            if desc.transient:
+                continue
+            dims = []
+            for dim in desc.shape:
+                free = dim.free_symbols() if isinstance(dim, Expr) else ()
+                if isinstance(dim, Sym):
+                    dims.append(dim.name)
+                elif free:
+                    dims.append((dim, frozenset(free)))
+                else:
+                    dims.append(int(evaluate(dim)))
+            self.shapes[name] = (desc.ndim, tuple(
+                (index, dim) for index, dim in enumerate(dims) if isinstance(dim, str)
+            ))
+            externals.append((name, desc.dtype, tuple(dims)))
+        self.externals = tuple(externals)
+        self.array_names = tuple(name for name, _, _ in externals)
+
+    def bind(self, args: tuple, kwargs: Mapping[str, object]) -> dict:
+        """Container and symbol values of one call, containers first."""
+        if len(args) > len(self.slots):
+            raise CodegenError(
+                f"{self.name} takes {len(self.slots)} arguments, got {len(args)}"
+            )
+        bound = dict(zip(self.slots, args))
+        shapes, symbols = self.shapes, self.symbols
+        for name, value in kwargs.items():
+            if name in bound:
+                raise CodegenError(f"Argument {name!r} passed both positionally and by keyword")
+            if name not in shapes and name not in symbols:
+                raise CodegenError(
+                    f"{self.name} got an unexpected keyword argument {name!r}; it takes "
+                    f"arguments {list(self.array_names)} and symbols {sorted(symbols)}"
+                )
+            bound[name] = value
+
+        # Symbols passed explicitly win over what shapes imply.
+        values: dict[str, int] = {}
+        for name, value in bound.items():
+            if name in symbols:
+                number = int(value)
+                if number != value:
+                    raise CodegenError(f"Symbol {name!r} takes an integer, got {value!r}")
+                values[name] = number
+        for name, value in bound.items():
+            if name not in shapes:
+                continue
+            ndim, inferred = shapes[name]
+            if not isinstance(value, np.ndarray):
+                value = bound[name] = np.asarray(value)
+            if value.ndim != ndim:
+                raise CodegenError(
+                    f"Argument {name!r} has {value.ndim} dimensions, expected {ndim}"
+                )
+            for index, symbol in inferred:
+                if symbol not in values:
+                    values[symbol] = value.shape[index]
+
+        resolved: dict[str, object] = {}
+        for name, dtype, dims in self.externals:
+            if name not in bound:
+                raise CodegenError(f"Missing argument {name!r} for {self.name}")
+            value = bound[name]
+            if value.dtype != dtype:
+                # A copy: in-place updates by the program stay in it.
+                if not np.can_cast(value.dtype, dtype, "same_kind"):
+                    raise CodegenError(
+                        f"Argument {name!r} has dtype {value.dtype}, which does not "
+                        f"convert to {dtype} without loss"
+                    )
+                value = np.asarray(value, dtype=dtype)
+            resolved[name] = value
+            # Shape consistency check (where fully concrete).
+            expected = []
+            for dim in dims:
+                if isinstance(dim, tuple):
+                    if not dim[1] <= values.keys():
+                        break
+                    dim = int(evaluate(dim[0], values))
+                elif isinstance(dim, str):
+                    if dim not in values:
+                        break
+                    dim = values[dim]
+                expected.append(dim)
+            else:
+                if tuple(expected) != value.shape:
+                    raise CodegenError(
+                        f"Argument {name!r} has shape {value.shape}, expected {tuple(expected)}"
+                    )
+
+        missing = [name for name in self.needed if name not in values]
+        if missing:
+            raise CodegenError(
+                f"Could not determine values for symbols {missing}; pass them as keyword arguments"
+            )
+        resolved.update(values)
+        return resolved
+
+
+#: Plans of the SDFGs a compiled object owns, built on the first bind.  Only
+#: those are kept: any other SDFG may still change, and gets a fresh plan.
+_PLANS: "weakref.WeakKeyDictionary[SDFG, Optional[BindingPlan]]" = weakref.WeakKeyDictionary()
+
+
+def keep_binding_plan(sdfg: SDFG) -> None:
+    """Declare ``sdfg`` finished: a compiled object owns it from here on."""
+    _PLANS.setdefault(sdfg, None)
+
+
+def binding_plan(sdfg: SDFG) -> BindingPlan:
+    """The kept plan of a compiled object's SDFG, else a fresh one."""
+    try:
+        plan = _PLANS[sdfg]
+    except KeyError:
+        return BindingPlan(sdfg)
+    if plan is None:
+        plan = _PLANS[sdfg] = BindingPlan(sdfg)
+    return plan
+
+
 def bind_arguments(sdfg: SDFG, args: tuple, kwargs: Mapping[str, object]) -> dict:
     """Bind call arguments to SDFG containers and symbols.
 
     Positional arguments follow ``sdfg.arg_names``; keyword arguments may name
-    any container or symbol.  Symbols that are not passed explicitly are
-    inferred by matching symbolic array shapes against the actual arguments
+    any argument container or symbol.  Symbols that are not passed explicitly
+    are inferred by matching symbolic array shapes against the actual arguments
     (the same convenience the DaCe frontend provides).
     """
-    bindings: dict[str, object] = {}
-    if len(args) > len(sdfg.arg_names):
-        raise CodegenError(
-            f"{sdfg.name} takes {len(sdfg.arg_names)} arguments, got {len(args)}"
-        )
-    for name, value in zip(sdfg.arg_names, args):
-        bindings[name] = value
-    for name, value in kwargs.items():
-        if name in bindings:
-            raise CodegenError(f"Argument {name!r} passed both positionally and by keyword")
-        bindings[name] = value
-
-    resolved: dict[str, object] = {}
-    symbol_values: dict[str, int] = {}
-
-    # First pass: record explicitly-passed symbols.
-    for name, value in bindings.items():
-        if name in sdfg.symbols:
-            symbol_values[name] = int(value)
-
-    # Second pass: infer symbols from array shapes.
-    for name, value in bindings.items():
-        if name not in sdfg.arrays:
-            continue
-        desc = sdfg.arrays[name]
-        actual = np.asarray(value)
-        if actual.ndim != desc.ndim:
-            raise CodegenError(
-                f"Argument {name!r} has {actual.ndim} dimensions, expected {desc.ndim}"
-            )
-        for dim, size in zip(desc.shape, actual.shape):
-            if isinstance(dim, Sym) and dim.name not in symbol_values:
-                symbol_values[dim.name] = int(size)
-
-    # Third pass: coerce containers.
-    for name, desc in sdfg.arrays.items():
-        if desc.transient:
-            continue
-        if name not in bindings:
-            raise CodegenError(f"Missing argument {name!r} for {sdfg.name}")
-        value = bindings[name]
-        if isinstance(value, np.ndarray) and value.dtype == desc.dtype and value.ndim == desc.ndim:
-            resolved[name] = value
-        else:
-            resolved[name] = np.asarray(value, dtype=desc.dtype)
-        # Shape consistency check (where fully concrete).
-        expected = []
-        consistent = True
-        for dim in desc.shape:
-            if isinstance(dim, Expr):
-                if dim.free_symbols() - set(symbol_values):
-                    consistent = False
-                    break
-                expected.append(int(evaluate(dim, symbol_values)))
-            else:
-                expected.append(int(dim))
-        if consistent and tuple(expected) != resolved[name].shape:
-            raise CodegenError(
-                f"Argument {name!r} has shape {resolved[name].shape}, expected {tuple(expected)}"
-            )
-
-    # Fourth pass: every needed symbol must now have a value.
-    needed = set(sdfg.symbols)
-    for desc in sdfg.arrays.values():
-        needed |= desc.free_symbols()
-    needed |= sdfg.free_symbols()
-    iterators = {loop.itervar for loop in sdfg.all_loops()}
-    needed -= iterators
-    needed -= set(sdfg.arrays)
-    missing = sorted(needed - set(symbol_values))
-    if missing:
-        raise CodegenError(
-            f"Could not determine values for symbols {missing}; pass them as keyword arguments"
-        )
-    for name, value in symbol_values.items():
-        resolved[name] = int(value)
-    return resolved
+    return binding_plan(sdfg).bind(args, kwargs)

@@ -14,7 +14,9 @@ exercised across the sample); ``--full-matrix`` runs all 32 configurations
 per program instead.  ``--planning`` doubles the configuration set by
 running every sampled configuration once with memory planning forced on
 and once forced off — a planner bug then shows up as a plan-on divergence
-against the same oracle value.
+against the same oracle value.  ``--call-boundary`` adds, for every sampled
+configuration, one run per input presentation (strided view, Fortran order,
+float32, shuffled keywords), each compared with the plain call.
 
 Failures are minimized with the delta-debugging shrinker and — when
 ``--corpus-dir`` is given — saved as corpus entries, which the regression
@@ -41,6 +43,7 @@ from repro.fuzz.grammar import FuzzProgram
 from repro.fuzz.harness import (
     BACKENDS,
     MODES,
+    PRESENTATIONS,
     TIERS,
     CaseOutcome,
     CaseSpec,
@@ -90,6 +93,17 @@ def with_planning_dimension(configs: list[Config]) -> list[Config]:
     return expanded
 
 
+def with_call_boundary_dimension(configs: list[Config]) -> list[Config]:
+    """Follow every configuration with one copy per input presentation (the
+    ``--call-boundary`` differential dimension)."""
+    expanded = []
+    for config in configs:
+        expanded.append(config)
+        expanded.extend(dataclasses.replace(config, presentation=presentation)
+                        for presentation in PRESENTATIONS)
+    return expanded
+
+
 def run_program(program: FuzzProgram, configs: list[Config],
                 ) -> list[CaseOutcome]:
     """All outcomes for one program (a build failure fails every config)."""
@@ -123,6 +137,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--planning", action="store_true",
                         help="run every configuration with memory planning "
                              "forced on AND forced off")
+    parser.add_argument("--call-boundary", action="store_true",
+                        help="re-run every configuration with its inputs "
+                             "strided, Fortran-ordered, as float32 and by "
+                             "shuffled keywords")
     parser.add_argument("--out", default=None,
                         help="write the run report JSON here")
     parser.add_argument("--corpus-dir", default=None,
@@ -147,6 +165,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             configs = sample_configs(random.Random(args.seed * 7 + index))
         if args.planning:
             configs = with_planning_dimension(configs)
+        if args.call_boundary:
+            configs = with_call_boundary_dimension(configs)
         for outcome in run_program(program, configs):
             outcomes.append(outcome)
             if outcome.status == "fail":
@@ -189,6 +209,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         extra["shrunk"] = shrunk_info
     if args.planning:
         extra["planning_dimension"] = True
+    if args.call_boundary:
+        extra["call_boundary_dimension"] = True
     report = build_report(
         seed=args.seed, program_count=len(programs), outcomes=outcomes,
         elapsed_seconds=elapsed, full_matrix=args.full_matrix,

@@ -39,6 +39,7 @@ from repro.fuzz.harness import (
     CaseOutcome,
     CaseSpec,
     Config,
+    PRESENTATIONS,
     full_matrix,
     run_case,
 )
@@ -51,17 +52,20 @@ def default_corpus_dir() -> Path:
 
 
 def parse_config(label: str) -> Config:
-    """Inverse of :meth:`Config.label` (``"O3/grad/numpy"``, optionally with
-    a fourth ``plan-on``/``plan-off`` segment)."""
-    parts = label.split("/")
-    planning = None
-    if len(parts) == 4:
-        if parts[3] not in ("plan-on", "plan-off"):
-            raise ValueError(f"Unknown planning segment in config {label!r}")
-        planning = parts[3] == "plan-on"
-        parts = parts[:3]
-    tier, mode, backend = parts
-    return Config(tier, mode, backend, planning)
+    """Inverse of :meth:`Config.label` (``"O3/grad/numpy"``, optionally
+    followed by a ``plan-on``/``plan-off`` and a ``call-<presentation>``
+    segment)."""
+    tier, mode, backend, *extra = label.split("/")
+    planning = presentation = None
+    call_segments = {f"call-{name}": name for name in PRESENTATIONS}
+    for segment in extra:
+        if segment in ("plan-on", "plan-off") and planning is None:
+            planning = segment == "plan-on"
+        elif segment in call_segments and presentation is None:
+            presentation = call_segments[segment]
+        else:
+            raise ValueError(f"Unknown segment {segment!r} in config {label!r}")
+    return Config(tier, mode, backend, planning, presentation)
 
 
 @dataclass

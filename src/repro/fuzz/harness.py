@@ -7,7 +7,10 @@ A configuration is one point of the matrix
 
 optionally crossed with the memory-planning knob (``--planning`` duplicates
 every configuration with planning forced on and forced off, so a buffer-reuse
-bug shows up as a plan-on/plan-off divergence against the same oracle).
+bug shows up as a plan-on/plan-off divergence against the same oracle) and
+with the call boundary (``--call-boundary`` re-runs every configuration with
+its inputs in each of :data:`PRESENTATIONS` and compares with the plain call
+of the same compiled program on the same values).
 
 For each configuration the program is compiled through the real pipeline
 (:func:`repro.pipeline.compile_forward`, :class:`~repro.autodiff.api.
@@ -30,6 +33,7 @@ Outcomes are three-valued, and the distinction is the whole point:
 
 from __future__ import annotations
 
+import random
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -52,6 +56,8 @@ from repro.util.errors import ReproError, UnsupportedFeatureError
 TIERS = ("O0", "O1", "O2", "O3")
 MODES = ("forward", "grad", "vmap", "vmap_grad")
 BACKENDS = ("numpy", "cython")
+#: Forms in which ``--call-boundary`` hands a program its inputs.
+PRESENTATIONS = ("strided", "fortran", "float32", "shuffled")
 
 #: Absolute/relative tolerance per dtype (the paper-level bar for float64;
 #: float32 gets the cross-backend differential suite's looser bound).
@@ -77,18 +83,23 @@ class Config:
 
     ``planning`` forces the memory-planning pass on (``True``) or off
     (``False``); ``None`` keeps the tier's default (on at O2+).
+    ``presentation`` names one of :data:`PRESENTATIONS`; such a configuration
+    is checked against its own plain call, not against the oracle.
     """
 
     tier: str
     mode: str
     backend: str
     planning: Optional[bool] = None
+    presentation: Optional[str] = None
 
     def label(self) -> str:
-        base = f"{self.tier}/{self.mode}/{self.backend}"
-        if self.planning is None:
-            return base
-        return base + ("/plan-on" if self.planning else "/plan-off")
+        label = f"{self.tier}/{self.mode}/{self.backend}"
+        if self.planning is not None:
+            label += "/plan-on" if self.planning else "/plan-off"
+        if self.presentation is not None:
+            label += f"/call-{self.presentation}"
+        return label
 
 
 def full_matrix() -> tuple[Config, ...]:
@@ -208,6 +219,32 @@ def _copy_data(data: dict[str, object]) -> dict[str, object]:
             for k, v in data.items()}
 
 
+def present(data: dict[str, object], presentation: Optional[str], seed: int,
+            ) -> tuple[dict[str, object], dict[str, object]]:
+    """``(plain, presented)``: the same argument values as contiguous arrays
+    of their own dtype, and in the named form at the call boundary (``None``:
+    as they are)."""
+    plain = _copy_data(data)
+    presented = _copy_data(data)
+    if presentation == "shuffled":
+        names = list(presented)
+        random.Random(seed).shuffle(names)
+        return plain, {name: presented[name] for name in names}
+    for name, value in list(presented.items()):
+        if not isinstance(value, np.ndarray):
+            continue
+        if presentation == "strided" and value.ndim:
+            wide = np.empty(value.shape[:-1] + (2 * value.shape[-1],), value.dtype)
+            presented[name] = wide[..., ::2]
+            presented[name][...] = value
+        elif presentation == "fortran":
+            presented[name] = np.asfortranarray(value)
+        elif presentation == "float32":
+            presented[name] = value.astype(np.float32)
+            plain[name] = presented[name].astype(value.dtype)
+    return plain, presented
+
+
 def _to_numpy(value) -> np.ndarray:
     if isinstance(value, jaxlike.DeviceArray):
         return np.asarray(value.value)
@@ -284,8 +321,9 @@ class DifferentialRunner:
         return value
 
     # ----------------------------------------------------------- repro side
-    def _repro_value(self, config: Config):
-        """Compile and run one configuration; returns (value, fallback)."""
+    def _repro_value(self, config: Config, data: dict[str, object]):
+        """Compile one configuration and run it on ``data`` (which the
+        program may update in place); returns (value, fallback)."""
         spec = self.spec
         options = {
             "optimize": config.tier,
@@ -295,21 +333,19 @@ class DifferentialRunner:
         }
         if config.mode == "forward":
             outcome = compile_forward(self.sdfg, **options)
-            value = outcome.compiled(**_copy_data(self.data))
+            value = outcome.compiled(**data)
             return np.asarray(value), outcome.report.backend_fallback
         if config.mode == "vmap":
             batched = repro_vmap(self.sdfg, in_axes=spec.in_axes())
             compiled = batched.compile(**options)
-            value = compiled(**_copy_data(self.batched_data))
+            value = compiled(**data)
             fallback = getattr(compiled.pipeline_report, "backend_fallback", None)
             return np.asarray(value), fallback
         if config.mode in ("grad", "vmap_grad"):
             gf = GradientFunction(self.sdfg, wrt=spec.wrt(), **options)
-            data = self.data
             if config.mode == "vmap_grad":
                 gf = repro_vmap(gf, in_axes=spec.in_axes())
-                data = self.batched_data
-            raw = gf(**_copy_data(data))
+            raw = gf(**data)
             if not isinstance(raw, dict):
                 raw = {spec.wrt()[0]: raw}
             return ({k: np.asarray(v) for k, v in raw.items()},
@@ -340,8 +376,12 @@ class DifferentialRunner:
     def run(self, config: Config) -> CaseOutcome:
         """One differential check; never raises for program-level problems."""
         spec = self.spec
+        batched = config.mode in ("vmap", "vmap_grad")
+        plain, presented = present(self.batched_data if batched else self.data,
+                                   config.presentation, spec.data_seed)
         try:
-            expected = self.oracle_value(config.mode)
+            if config.presentation is None:
+                expected = self.oracle_value(config.mode)
         except Exception as exc:  # noqa: BLE001 - oracle bugs are harness bugs
             return CaseOutcome(
                 program=spec.name, config=config, status="fail",
@@ -349,7 +389,9 @@ class DifferentialRunner:
                 error_type=type(exc).__name__,
             )
         try:
-            actual, fallback = self._repro_value(config)
+            if config.presentation is not None:
+                expected, _ = self._repro_value(config, plain)
+            actual, fallback = self._repro_value(config, presented)
         except SKIP_EXCEPTIONS as exc:
             return CaseOutcome(
                 program=spec.name, config=config, status="skip",
@@ -434,6 +476,7 @@ __all__ = [
     "DifferentialRunner",
     "FailureSignature",
     "MODES",
+    "PRESENTATIONS",
     "SKIP_EXCEPTIONS",
     "TIERS",
     "TOLERANCES",

@@ -70,6 +70,30 @@ class TestOutcomes:
         assert payload["config"] == "O1/forward/numpy"
         assert payload["status"] == "ok"
 
+    def test_call_boundary_presentations_agree_with_the_plain_call(self, monkeypatch):
+        """Every presentation of the inputs is ok against the plain call, the
+        label round-trips, and a native call without its contiguity guard
+        fails on Fortran-order inputs."""
+        from repro.codegen import CompiledSDFG
+        from repro.codegen.cython_backend import NativeCompiledSDFG
+        from repro.fuzz.__main__ import with_call_boundary_dimension
+        from repro.fuzz.corpus import parse_config
+
+        configs = with_call_boundary_dimension(
+            [Config("O1", "grad", "numpy"), Config("O2", "forward", "cython")])
+        assert len(configs) == 10
+        assert configs[7].label() == "O2/forward/cython/call-fortran"
+        assert [parse_config(config.label()) for config in configs] == configs
+        runner = DifferentialRunner(
+            CaseSpec.from_program(_template("seed_hdiff_partial_window")))
+        outcomes = [runner.run(config) for config in configs]
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 10
+
+        if outcomes[7].backend_fallback is None:  # a C toolchain is present
+            monkeypatch.setattr(NativeCompiledSDFG, "call_with_bindings",
+                                CompiledSDFG.call_with_bindings)
+            assert runner.run(configs[7]).error_type == "Divergence"
+
     def test_float32_uses_loosened_tolerance(self):
         spec = CaseSpec.from_program(_template("seed_float32_elementwise"))
         assert spec.tolerance == 1e-4
