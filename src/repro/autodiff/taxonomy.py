@@ -69,20 +69,10 @@ def classify_loop(sdfg: SDFG, loop: LoopRegion, outer_iterators: tuple[str, ...]
 def classify_program_loops(sdfg: SDFG) -> list[LoopClassification]:
     """Classify every loop in the SDFG (outer iterators count as invariants
     for inner loops, matching the paper's definition)."""
-    results: list[LoopClassification] = []
-
-    def visit(region, outer: tuple[str, ...]):
-        from repro.ir import ConditionalRegion, State
-
-        for element in region.elements:
-            if isinstance(element, LoopRegion):
-                results.append(classify_loop(sdfg, element, outer))
-                visit(element.body, outer + (element.itervar,))
-            elif isinstance(element, ConditionalRegion):
-                for _, branch in element.branches:
-                    visit(branch, outer)
-            elif isinstance(element, State):
-                continue
-
-    visit(sdfg.root, ())
-    return results
+    return [
+        classify_loop(sdfg, element, tuple(
+            outer.itervar for outer in path if isinstance(outer, LoopRegion)
+        ))
+        for element, _, _, path in sdfg.root.walk()
+        if isinstance(element, LoopRegion)
+    ]

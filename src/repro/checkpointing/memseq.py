@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 from repro.autodiff.storage import RematCandidate
 from repro.checkpointing.costs import CandidateCosts
 from repro.ir import ConditionalRegion, SDFG
+from repro.passes.liveness import TopLevelUse, top_level_uses
 
 
 @dataclass
@@ -55,29 +56,14 @@ def _element_transients(sdfg: SDFG, element) -> set[str]:
     return {name for name in accessed if name in sdfg.arrays and sdfg.arrays[name].transient}
 
 
-def _liveness(sdfg: SDFG, data: str) -> tuple[int, int]:
-    """(first definition index, last access index) at top-level granularity."""
-    from repro.passes.liveness import top_level_uses
-
-    use = top_level_uses(sdfg).get(data)
-    if use is None:
-        return (0, 0)
-    return (use.first_write, use.last_access)
-
-
-def _candidate_positions(sdfg: SDFG, candidates: Sequence[RematCandidate]) -> dict[str, tuple[int, int]]:
+def _candidate_positions(candidates: Sequence[RematCandidate],
+                         uses: Mapping[str, TopLevelUse]) -> dict[str, tuple[int, int]]:
     """(definition index, last forward use index) of each candidate at
     top-level granularity."""
-    from repro.passes.liveness import top_level_uses
-
-    uses = top_level_uses(sdfg)
     positions: dict[str, tuple[int, int]] = {}
     for candidate in candidates:
-        use = uses.get(candidate.data)
-        if use is None:
-            positions[candidate.key] = (0, 0)
-        else:
-            positions[candidate.key] = (use.first_write, use.last_read)
+        use = uses.get(candidate.data, TopLevelUse())
+        positions[candidate.key] = (use.first_write, use.last_read)
     return positions
 
 
@@ -92,7 +78,8 @@ def build_memory_sequence(
     """Build the memory measurement sequence of the forward+backward program."""
     terms: list[MemoryTerm] = []
     candidate_data = {c.data for c in candidates}
-    positions = _candidate_positions(sdfg, candidates)
+    uses = top_level_uses(sdfg)
+    positions = _candidate_positions(candidates, uses)
     elements = list(sdfg.root.elements)
 
     base_bytes = 0.0
@@ -105,7 +92,8 @@ def build_memory_sequence(
     if include_noncandidate_transients:
         for name, desc in sdfg.arrays.items():
             if desc.transient and name not in candidate_data:
-                noncandidate_live[name] = _liveness(sdfg, name)
+                use = uses.get(name, TopLevelUse())
+                noncandidate_live[name] = (use.first_write, use.last_access)
 
     def noncandidate_bytes_at(index: int, restrict_to: set[str] | None = None) -> float:
         total = 0.0

@@ -110,23 +110,8 @@ class SourceEmitter:
                 params.append(name)
         # Free symbols referenced by shapes/bounds but never registered.
         for name in sorted(self.sdfg.free_symbols()):
-            if name not in params and name not in self.sdfg.arrays:
-                iterators = {loop.itervar for loop in self.sdfg.all_loops()}
-                map_params = {
-                    p
-                    for state in self.sdfg.all_states()
-                    for node in state
-                    if isinstance(node, MapCompute)
-                    for p in node.params
-                }
-                connectors = {
-                    conn
-                    for state in self.sdfg.all_states()
-                    for node in state
-                    for conn in node.inputs
-                }
-                if name not in iterators and name not in map_params and name not in connectors:
-                    params.append(name)
+            if name not in params:
+                params.append(name)
         return params
 
     def _emit_allocations(self) -> None:

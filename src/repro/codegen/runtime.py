@@ -64,8 +64,6 @@ class BindingPlan:
         #: Names that positional arguments fill, in order.
         self.slots = tuple(sdfg.arg_names)
         needed = set(sdfg.symbols) | sdfg.free_symbols()
-        needed -= {loop.itervar for loop in sdfg.all_loops()}
-        needed -= set(sdfg.arrays)
         #: Symbols that must have a value once binding is done.
         self.needed = tuple(sorted(needed))
         #: Names a call may bind to an integer.

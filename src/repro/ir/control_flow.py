@@ -40,38 +40,41 @@ class ControlFlowRegion:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def all_states(self) -> Iterator[State]:
-        """All states in this region, depth first, in program order."""
-        for element in self.elements:
-            if isinstance(element, State):
-                yield element
-            elif isinstance(element, LoopRegion):
-                yield from element.body.all_states()
+    def walk(self, path: tuple = ()) -> Iterator[
+        tuple[ControlFlowElement, "ControlFlowRegion", int, tuple]
+    ]:
+        """Every element below this region, depth first in program order, as
+        ``(element, region, index, path)``: ``region.elements[index]`` is
+        ``element`` and ``path`` holds the enclosing loops and conditionals,
+        outermost first (empty for this region's own elements).  Each element
+        is yielded before the elements nested in it."""
+        for index, element in enumerate(self.elements):
+            yield element, self, index, path
+            if isinstance(element, LoopRegion):
+                yield from element.body.walk(path + (element,))
             elif isinstance(element, ConditionalRegion):
                 for _, branch in element.branches:
-                    yield from branch.all_states()
+                    yield from branch.walk(path + (element,))
+
+    def all_states(self) -> Iterator[State]:
+        """All states in this region, depth first, in program order."""
+        return (element for element, _, _, _ in self.walk() if isinstance(element, State))
 
     def all_elements(self) -> Iterator[ControlFlowElement]:
         """All elements (states, loops, conditionals) in this region, depth first."""
-        for element in self.elements:
-            yield element
-            if isinstance(element, LoopRegion):
-                yield from element.body.all_elements()
-            elif isinstance(element, ConditionalRegion):
-                for _, branch in element.branches:
-                    yield from branch.all_elements()
+        return (element for element, _, _, _ in self.walk())
 
     # -- dataflow summaries --------------------------------------------------
     def read_data(self) -> OrderedSet[str]:
         result: OrderedSet[str] = OrderedSet()
         for element in self.elements:
-            result.update(element_read_data(element))
+            result.update(element.read_data())
         return result
 
     def written_data(self) -> OrderedSet[str]:
         result: OrderedSet[str] = OrderedSet()
         for element in self.elements:
-            result.update(element_written_data(element))
+            result.update(element.written_data())
         return result
 
     def __repr__(self) -> str:
@@ -153,13 +156,3 @@ class ConditionalRegion:
 
     def __repr__(self) -> str:
         return f"ConditionalRegion({self.label!r}, {len(self.branches)} branches)"
-
-
-def element_read_data(element: ControlFlowElement) -> OrderedSet[str]:
-    """Containers read by any control-flow element."""
-    return element.read_data()
-
-
-def element_written_data(element: ControlFlowElement) -> OrderedSet[str]:
-    """Containers written by any control-flow element."""
-    return element.written_data()

@@ -136,21 +136,17 @@ class SDFG:
     def transients(self) -> list[str]:
         return [name for name, desc in self.arrays.items() if desc.transient]
 
-    def container_uses(self):
-        """Per-container read/write sites in program order — see
-        :func:`repro.ir.usage.collect_uses`.  Recomputed on every call;
-        passes that mutate the SDFG must refresh it."""
-        from repro.ir.usage import collect_uses
-
-        return collect_uses(self)
-
     def free_symbols(self) -> set[str]:
-        """Symbols referenced anywhere (shapes, memlets, loop bounds)."""
+        """Symbols referenced anywhere (shapes, memlets, loop bounds, branch
+        conditions) that are neither loop iterators nor container names —
+        the values a call must supply besides the containers."""
         result: set[str] = set()
         for desc in self.arrays.values():
             result |= desc.free_symbols()
+        iterators: set[str] = set()
         for element in self.all_elements():
             if isinstance(element, LoopRegion):
+                iterators.add(element.itervar)
                 result |= element.start.free_symbols()
                 result |= element.stop.free_symbols()
                 result |= element.step.free_symbols()
@@ -161,7 +157,7 @@ class SDFG:
             elif isinstance(element, State):
                 for node in element:
                     result |= node.free_symbols()
-        return result
+        return result - iterators - self.arrays.keys()
 
     # -- utilities ------------------------------------------------------------
     def copy(self) -> "SDFG":

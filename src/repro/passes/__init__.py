@@ -9,9 +9,9 @@
 * :mod:`repro.passes.simplification` - dead code elimination and
   constant-condition pruning (the paper's pre-AD cleanup of configuration
   control flow), the ``optimize="O1"`` tier.
-* :mod:`repro.passes.liveness` - global program order and per-container live
-  intervals over the control-flow tree (loops, branches, loop-carried
-  values), the analysis memory planning and GVN build on.
+* :mod:`repro.passes.liveness` - per-container live intervals over the
+  program order of :func:`repro.ir.usage.collect_uses` (loops, branches,
+  loop-carried values), the analysis memory planning builds on.
 * :mod:`repro.passes.gvn` - global value numbering: duplicate element-wise
   maps (within and across states) and repeated memlet reads
   (``optimize="O2"``).
@@ -43,12 +43,8 @@ from repro.passes.flops import (
     expr_op_count,
 )
 from repro.passes.fusion import fuse_elementwise_maps
-from repro.passes.gvn import (
-    GVNResult,
-    dedupe_connectors,
-    global_value_numbering,
-    is_identity_elementwise_write,
-)
+from repro.ir.usage import is_identity_elementwise_write
+from repro.passes.gvn import GVNResult, dedupe_connectors, global_value_numbering
 from repro.passes.liveness import compute_liveness, top_level_uses
 from repro.passes.memory import (
     container_size_bytes,

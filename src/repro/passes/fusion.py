@@ -17,7 +17,7 @@ A producer/consumer pair ``(P, C)`` over transient ``T`` is fused when
 
 * ``P`` is an *identity element-wise full write* of ``T`` (map parameter
   ``k`` writes element ``k``, every element written once, no accumulation —
-  see :func:`repro.passes.gvn.is_identity_elementwise_write`), and ``P`` is
+  see :func:`repro.ir.usage.is_identity_elementwise_write`), and ``P`` is
   the only writer of ``T`` anywhere in the SDFG;
 * every read of ``T`` anywhere in the SDFG is by the single compute node
   ``C`` (a :class:`MapCompute`), through per-element subsets;
@@ -69,8 +69,8 @@ import numpy as np
 from repro.ir import MapCompute, Memlet, SDFG, State
 from repro.ir.control_flow import ControlFlowRegion
 from repro.ir.subsets import Index
-from repro.ir.usage import UseSite, UseSites, collect_uses
-from repro.passes.gvn import dedupe_connectors, is_identity_elementwise_write
+from repro.ir.usage import UseSite, UseSites, collect_uses, is_identity_elementwise_write
+from repro.passes.gvn import dedupe_connectors
 from repro.symbolic import (
     Const,
     Expr,

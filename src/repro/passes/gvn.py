@@ -12,7 +12,7 @@ Two redundancies appear in lowered programs (and multiply after map fusion):
   :func:`global_value_numbering` matches them by a canonical key
   (:func:`_node_key`: alpha-renamed expression, input memlets, output
   shape/dtype) over the *global* program order produced by
-  :mod:`repro.passes.liveness`, keeps the first, redirects every read of
+  :func:`repro.ir.usage.collect_uses`, keeps the first, redirects every read of
   the second transient to the first and drops the duplicate node and its
   descriptor.
 
@@ -48,11 +48,8 @@ from typing import Iterable, Optional
 
 from repro.ir import MapCompute, SDFG
 from repro.ir.nodes import ComputeNode
-from repro.ir.subsets import Index, Range
-from repro.ir.usage import UseSites, collect_uses
-from repro.passes.liveness import compute_liveness
-from repro.symbolic import Const, Sym, as_expr, substitute
-from repro.symbolic.simplify import simplify
+from repro.ir.usage import UseSites, collect_uses, is_identity_elementwise_write
+from repro.symbolic import Sym, substitute
 
 
 def dedupe_connectors(node: ComputeNode) -> int:
@@ -82,31 +79,6 @@ def dedupe_connectors(node: ComputeNode) -> int:
     node.inputs = new_inputs
     node.expr = substitute(node.expr, rename)
     return len(rename)
-
-
-def is_identity_elementwise_write(node: ComputeNode, desc) -> bool:
-    """True if ``node`` is a :class:`MapCompute` that overwrites every element
-    of ``desc`` exactly once, with map parameter ``k`` writing element ``k``
-    (the normal form :meth:`StateBuilder.emit_elementwise_write` produces for
-    full-container targets).  This is the producer shape map fusion and
-    value numbering can reason about: the container's contents are a pure
-    function of the node's inputs."""
-    if not isinstance(node, MapCompute) or node.output.accumulate:
-        return False
-    subset = node.output.subset
-    dims = tuple(subset) if subset is not None else ()
-    if len(dims) != len(node.params) or len(dims) != len(desc.shape):
-        return False
-    for dim, param, rng, size in zip(dims, node.params, node.ranges, desc.shape):
-        if not isinstance(dim, Index) or dim.value != Sym(param):
-            return False
-        if not isinstance(rng, Range):
-            return False
-        if simplify(rng.start) != Const(0) or simplify(rng.step) != Const(1):
-            return False
-        if simplify(rng.stop) != simplify(as_expr(size)):
-            return False
-    return True
 
 
 def _node_key(node: MapCompute, sdfg: SDFG) -> Optional[tuple]:
@@ -146,8 +118,8 @@ def _redirect_reads(sdfg: SDFG, old: str, new: str) -> None:
 
 
 def _sole_writer(uses: dict, name: str, node: ComputeNode) -> bool:
-    sites = uses.get(name, UseSites())
-    return len(sites.writes) == 1 and sites.writes[0].node is node
+    writes = uses.get(name, UseSites()).writes
+    return len(writes) == 1 and writes[0].node is node
 
 
 @dataclass
@@ -192,18 +164,15 @@ def global_value_numbering(
 
 
 def _merge_one(sdfg: SDFG, protected: set):
-    info = compute_liveness(sdfg)
     uses = collect_uses(sdfg)
 
     def window_written_between(window: set, lo: int, hi: int) -> bool:
-        for name in window:
-            for event in info.events.get(name, ()):
-                if event.kind == "write" and lo < event.pos < hi:
-                    return True
-        return False
+        return any(
+            lo < site.pos < hi for name in window for site in uses[name].writes
+        )
 
     seen: dict[tuple, object] = {}
-    for rec in info.records:
+    for rec in uses.nodes:
         node = rec.node
         if not isinstance(node, MapCompute):
             continue
@@ -249,5 +218,4 @@ __all__ = [
     "GVNResult",
     "dedupe_connectors",
     "global_value_numbering",
-    "is_identity_elementwise_write",
 ]

@@ -1,19 +1,19 @@
-"""Liveness analysis over the SDFG control-flow tree.
+"""Liveness analysis: live intervals over the program-order linearisation.
 
-Memory planning (:mod:`repro.passes.planning`) and global value numbering
-(:mod:`repro.passes.gvn`) both need a *global program order*: every compute
-node gets one position in a linearisation of the control-flow tree, and every
-container gets the list of positions at which it is read or written.  From
-those events this module derives a conservative **live interval** per
-transient — the position range outside of which the container's storage can
-be reused without changing any observable value.
+:func:`repro.ir.usage.collect_uses` gives every compute node one global
+position and every container the list of positions at which it is read or
+written.  From those events this module derives a conservative **live
+interval** per container — the position range outside of which its storage
+can be reused without changing any observable value (memory planning,
+:mod:`repro.passes.planning`) — and the top-level first/last uses
+:mod:`repro.checkpointing.memseq` builds its timeline on.
 
-Linearisation and conservatism
-------------------------------
-States, loop bodies and conditional branches are walked in syntactic order
-(the same order :func:`repro.ir.usage.collect_uses` uses), so positions are
-comparable across states.  Control flow is handled by *widening* instead of
-path-sensitivity:
+Conservatism
+------------
+Positions follow syntactic order across states, loop bodies and conditional
+branches.  Control flow is handled by *widening* instead of
+path-sensitivity; a loop's span is the position range of the nodes whose
+``ctrl_path`` contains it:
 
 * branches of a conditional are linearised one after the other — a value live
   in any branch is treated as live across the whole conditional;
@@ -27,8 +27,8 @@ path-sensitivity:
   (live across the back-edge).
 
 Containers referenced by branch conditions or loop bounds have no rewritable
-memlet; they are reported in :attr:`LivenessInfo.opaque` and passes must
-leave them alone (same contract as ``UseSites.opaque_reads``).
+memlet; their ``LivenessInfo.uses[name].opaque_reads`` count is non-zero and
+passes must leave them alone.
 
 The module is pure analysis: it never mutates the SDFG.
 """
@@ -36,61 +36,18 @@ The module is pure analysis: it never mutates the SDFG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.ir.control_flow import (
-    ConditionalRegion,
-    ControlFlowRegion,
-    LoopRegion,
+from repro.ir.control_flow import LoopRegion
+from repro.ir.usage import (
+    ProgramUses,
+    UseSite,
+    collect_uses,
+    is_identity_elementwise_write,
 )
-from repro.ir.memlet import Memlet
-from repro.ir.nodes import ComputeNode
-from repro.ir.state import State
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ir.sdfg import SDFG
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    """One compute node at its global position in the linearised program.
-
-    ``ctrl_path`` is the tuple of enclosing :class:`LoopRegion` /
-    :class:`ConditionalRegion` objects, outermost first (empty for top-level
-    states); ``top_index`` is the index of the enclosing top-level element of
-    ``sdfg.root`` (the granularity :mod:`repro.checkpointing.memseq` works
-    at).
-    """
-
-    pos: int
-    region: ControlFlowRegion
-    element_index: int
-    state: State
-    node_index: int
-    node: ComputeNode
-    ctrl_path: tuple
-    top_index: int
-
-
-@dataclass(frozen=True)
-class LiveEvent:
-    """One read or write of a container at a global position.
-
-    Within one node, input reads are recorded *before* the write (matching
-    execution semantics: the right-hand side is evaluated first), and an
-    accumulating write additionally records a read of the previous contents
-    flagged ``accumulate_read`` — callers that mirror
-    ``ControlFlowElement.read_data()`` (which excludes ``+=`` self-reads)
-    filter on that flag.
-    """
-
-    pos: int
-    kind: str  # "read" | "write"
-    node: ComputeNode
-    memlet: Optional[Memlet]
-    ctrl_path: tuple
-    top_index: int
-    accumulate_read: bool = False
 
 
 @dataclass
@@ -124,14 +81,13 @@ class LoopSpan:
 
 @dataclass
 class LivenessInfo:
-    """Everything the liveness walk produced for one SDFG."""
+    """The live intervals of one SDFG and the linearisation they are over."""
 
-    records: list[NodeRecord] = field(default_factory=list)
-    events: dict[str, list[LiveEvent]] = field(default_factory=dict)
+    uses: ProgramUses
     intervals: dict[str, Interval] = field(default_factory=dict)
+    #: One span per loop whose body holds a compute node, in order of its
+    #: first node (an enclosing loop before the loops it contains).
     loop_spans: list[LoopSpan] = field(default_factory=list)
-    opaque: set[str] = field(default_factory=set)
-    node_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,79 +105,22 @@ class TopLevelUse:
     last_access: int = 0
 
 
-def _walk(
-    region: ControlFlowRegion,
-    ctrl_path: tuple,
-    top_index: Optional[int],
-    info: LivenessInfo,
-    counter: list[int],
-) -> None:
-    for element_index, element in enumerate(region.elements):
-        top = top_index if top_index is not None else element_index
-        if isinstance(element, State):
-            for node_index, node in enumerate(element.nodes):
-                pos = counter[0]
-                counter[0] += 1
-                info.records.append(NodeRecord(
-                    pos, region, element_index, element, node_index, node,
-                    ctrl_path, top,
-                ))
-                for memlet in node.inputs.values():
-                    info.events.setdefault(memlet.data, []).append(LiveEvent(
-                        pos, "read", node, memlet, ctrl_path, top,
-                    ))
-                out = node.output
-                info.events.setdefault(out.data, []).append(LiveEvent(
-                    pos, "write", node, out, ctrl_path, top,
-                ))
-                if out.accumulate:
-                    info.events.setdefault(out.data, []).append(LiveEvent(
-                        pos, "read", node, out, ctrl_path, top,
-                        accumulate_read=True,
-                    ))
-        elif isinstance(element, LoopRegion):
-            lo = counter[0]
-            _walk(element.body, ctrl_path + (element,), top, info, counter)
-            hi = counter[0] - 1
-            if hi >= lo:  # empty loop bodies span nothing
-                info.loop_spans.append(LoopSpan(element, lo, hi))
-        elif isinstance(element, ConditionalRegion):
-            for _, branch in element.branches:
-                _walk(branch, ctrl_path + (element,), top, info, counter)
-
-
-def _collect_opaque(sdfg: "SDFG", info: LivenessInfo) -> None:
-    array_names = set(sdfg.arrays)
-    for conditional in sdfg.all_conditionals():
-        for condition, _ in conditional.branches:
-            if condition is None:
-                continue
-            info.opaque |= condition.free_symbols() & array_names
-    for loop in sdfg.all_loops():
-        for bound in (loop.start, loop.stop, loop.step):
-            info.opaque |= bound.free_symbols() & array_names
-
-
-def _is_unconditional_full_write(event: LiveEvent, desc, loop: LoopRegion) -> bool:
+def _is_unconditional_full_write(event: UseSite, desc, loop: LoopRegion) -> bool:
     """A write that is guaranteed to replace ``desc``'s whole contents on
     every iteration of ``loop``: a non-accumulating full write sitting
     *directly* in the loop's body (not nested in an inner conditional or
     loop, whose execution per iteration is not guaranteed)."""
-    if event.kind != "write" or event.memlet is None:
-        return False
-    if event.memlet.accumulate:
+    if event.kind != "write" or event.memlet.accumulate:
         return False
     if not event.ctrl_path or event.ctrl_path[-1] is not loop:
         return False
-    if event.memlet.is_full_write(desc.shape):
-        return True
-    from repro.passes.gvn import is_identity_elementwise_write
-
-    return is_identity_elementwise_write(event.node, desc)
+    return event.memlet.is_full_write(desc.shape) or (
+        is_identity_elementwise_write(event.node, desc)
+    )
 
 
 def _loop_carried(
-    sdfg: "SDFG", name: str, events: list[LiveEvent], span: LoopSpan
+    sdfg: "SDFG", name: str, events: list[UseSite], span: LoopSpan
 ) -> bool:
     """True if some read of ``name`` inside ``span`` may observe a value
     produced by a *previous* iteration (live across the back-edge)."""
@@ -243,20 +142,25 @@ def _loop_carried(
 
 
 def compute_liveness(sdfg: "SDFG") -> LivenessInfo:
-    """Walk the control-flow tree once and derive per-container live
-    intervals (see the module docstring for the widening rules)."""
-    info = LivenessInfo()
-    counter = [0]
-    _walk(sdfg.root, (), None, info, counter)
-    info.node_count = counter[0]
-    _collect_opaque(sdfg, info)
+    """Linearise ``sdfg`` (:func:`repro.ir.usage.collect_uses`) and derive
+    per-container live intervals (see the module docstring for the widening
+    rules)."""
+    info = LivenessInfo(uses=collect_uses(sdfg))
+    spans: dict[LoopRegion, LoopSpan] = {}
+    for site in info.uses.nodes:
+        for loop in site.ctrl_path:
+            if loop in spans:
+                spans[loop].hi = site.pos
+            elif isinstance(loop, LoopRegion):
+                spans[loop] = LoopSpan(loop, site.pos, site.pos)
+    info.loop_spans = list(spans.values())
 
-    for name, events in info.events.items():
-        first = min(e.pos for e in events)
-        last = max(e.pos for e in events)
-        info.intervals[name] = Interval(
-            start=first, end=last, first_event=first, last_event=last,
-        )
+    for name, sites in info.uses.items():
+        if sites.events:
+            first, last = sites.events[0].pos, sites.events[-1].pos
+            info.intervals[name] = Interval(
+                start=first, end=last, first_event=first, last_event=last,
+            )
 
     # Widen to a fixed point: each extension can expose a new partial overlap
     # with an outer loop's span.
@@ -273,7 +177,7 @@ def compute_liveness(sdfg: "SDFG") -> LivenessInfo:
                 if s >= span.lo and e <= span.hi:
                     # Fully inside the loop body: per-iteration unless a
                     # value crosses the back-edge.
-                    if not _loop_carried(sdfg, name, info.events[name], span):
+                    if not _loop_carried(sdfg, name, info.uses[name].events, span):
                         continue
                     new_s, new_e = span.lo, span.hi
                 else:
@@ -292,27 +196,21 @@ def top_level_uses(sdfg: "SDFG") -> dict[str, TopLevelUse]:
     top-level element granularity (the view
     :mod:`repro.checkpointing.memseq` builds its measurement timeline on).
     """
-    info = compute_liveness(sdfg)
     out: dict[str, TopLevelUse] = {}
-    for name, events in info.events.items():
-        writes = [e.top_index for e in events if e.kind == "write"]
-        reads = [e.top_index for e in events
-                 if e.kind == "read" and not e.accumulate_read]
-        accesses = [e.top_index for e in events]
+    for name, sites in collect_uses(sdfg).items():
         out[name] = TopLevelUse(
-            first_write=min(writes) if writes else 0,
-            last_read=max(reads) if reads else 0,
-            last_access=max(accesses) if accesses else 0,
+            first_write=min((e.top_index for e in sites.writes), default=0),
+            last_read=max((e.top_index for e in sites.reads
+                           if not e.accumulate_read), default=0),
+            last_access=max((e.top_index for e in sites.events), default=0),
         )
     return out
 
 
 __all__ = [
     "Interval",
-    "LiveEvent",
     "LivenessInfo",
     "LoopSpan",
-    "NodeRecord",
     "TopLevelUse",
     "compute_liveness",
     "top_level_uses",

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 from repro.ir.control_flow import ConditionalRegion
 from repro.ir.nodes import MapCompute
 from repro.ir.subsets import Subset
-from repro.passes.gvn import is_identity_elementwise_write
+from repro.ir.usage import is_identity_elementwise_write
 from repro.passes.liveness import Interval, LivenessInfo, compute_liveness
 from repro.symbolic import BinOp, Const, Expr, Sym, UnOp, as_expr
 
@@ -160,15 +160,14 @@ def _eligible(sdfg: "SDFG", name: str, info: LivenessInfo,
     desc = sdfg.arrays.get(name)
     if desc is None or not desc.transient or desc.zero_init:
         return False
-    if name in protected or name in info.opaque:
+    sites = info.uses[name]
+    if name in protected or sites.opaque_reads:
         return False
-    events = info.events.get(name)
+    events = sites.events
     if not events:
         return False
     first = events[0]
-    if first.kind != "write" or first.memlet is None:
-        return False
-    if first.memlet.accumulate:
+    if first.kind != "write" or first.memlet.accumulate:
         return False
     # A full overwrite either through the memlet itself (whole-container
     # subset) or through a map that writes every element once per execution.
@@ -203,7 +202,7 @@ def _inplace_safe(sdfg: "SDFG", guest: str, members: list[str],
     still being read by that same node?  Only when the write is an identity
     element-wise map and every read of a member goes through exactly the
     output subset — the same element the iteration writes."""
-    events = info.events.get(guest) or []
+    events = info.uses[guest].events
     if not events:
         return False
     node = events[0].node

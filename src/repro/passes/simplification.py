@@ -19,6 +19,7 @@ from repro.ir import (
     SDFG,
     State,
 )
+from repro.ir.usage import opaque_containers
 from repro.symbolic import Const, substitute
 from repro.symbolic.simplify import simplify
 
@@ -28,19 +29,12 @@ def _referenced_containers(sdfg: SDFG, include_outputs: bool) -> set[str]:
     (conservatively includes loop/branch bodies).  With ``include_outputs``
     every written container counts too; otherwise only accumulation targets,
     whose prior contents are live."""
-    referenced: set[str] = set()
+    referenced = opaque_containers(sdfg)
     for state in sdfg.all_states():
         for node in state:
             referenced |= node.read_data()
             if include_outputs or node.output.accumulate:
                 referenced.add(node.output.data)
-    for conditional in sdfg.all_conditionals():
-        for condition, _ in conditional.branches:
-            if condition is not None:
-                referenced |= condition.free_symbols() & set(sdfg.arrays)
-    for loop in sdfg.all_loops():
-        for bound in (loop.start, loop.stop, loop.step):
-            referenced |= bound.free_symbols() & set(sdfg.arrays)
     return referenced
 
 

@@ -6,8 +6,9 @@ frontend-to-binary flow is one ordered pipeline:
 * :class:`ConstantBranchPruning` / :class:`DeadCodeElimination` — the paper's
   pre-AD cleanup (Section IV-B), default at ``optimize="O1"``;
 * :class:`GlobalValueNumbering` / :class:`MapFusion` — the ``"O2"`` tier:
-  duplicate-map merging (within and across states, over the liveness walk's
-  global program order) and producer/consumer map fusion, run before AD so
+  duplicate-map merging (within and across states, over the global program
+  order of :func:`repro.ir.usage.collect_uses`) and producer/consumer map
+  fusion, run before AD so
   both the forward and the generated backward pass benefit;
 * :class:`MemoryPlanning` — liveness-driven buffer reuse for transients,
   run *after* AD (gradient containers protected) and just before codegen,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.autodiff import LoopClass, classify_program_loops
 from repro.baselines.numerical import finite_difference_gradient
 
 N = repro.symbol("N")
@@ -170,6 +171,20 @@ class TestTriangularAndNestedLoops:
             return np.sum(A)
 
         check_grad(f, (rand(6),), 0, "A", rel=1e-3)
+
+    def test_outer_iterator_is_invariant_through_a_conditional(self):
+        @repro.program
+        def f(A: repro.float64[N]):
+            for i in range(N):
+                if i > 0:
+                    for j in range(i, N):
+                        A[j] = A[j] * 0.9
+            return np.sum(A)
+
+        outer, inner = classify_program_loops(f.to_sdfg())
+        assert (outer.loop.itervar, inner.loop.itervar) == ("i", "j")
+        # ``i`` reaches the inner header through the conditional: affine.
+        assert inner.loop_class is LoopClass.AFFINE
 
 
 class TestTapeMechanics:

@@ -2,9 +2,9 @@
 
 Three layers of coverage for the ``O2``+ storage optimisations:
 
-* **unit tests** for the liveness walk (interval construction, loop widening,
-  loop-carried values) and the planner's coloring/eligibility/in-place rules
-  on hand-written programs;
+* **unit tests** for liveness (interval construction, loop widening,
+  loop-carried values), the planner's coloring/eligibility/in-place rules and
+  containers read only by control flow, on hand-written programs;
 * **property tests** over the fuzz generator's random programs: a plan never
   assigns two overlapping live ranges to one buffer, and protected containers
   (return value, gradient targets, ``extra_keep``) are never reused — checked
@@ -23,9 +23,11 @@ from repro.autodiff.engine import add_backward_pass
 from repro.fuzz.generate import ProgramGenerator
 from repro.fuzz.harness import CaseSpec
 from repro.fuzz.render import build_sdfg
+from repro.ir import SDFG, LoopRegion, MapCompute, Memlet, Subset, collect_uses
 from repro.npbench import get_kernel
 from repro.passes import (
     compute_liveness,
+    eliminate_dead_code,
     global_value_numbering,
     plan_memory,
     top_level_uses,
@@ -33,6 +35,7 @@ from repro.passes import (
 )
 from repro.passes.planning import apply_memory_plan, provably_ge
 from repro.pipeline import compile_forward
+from repro.symbolic import Sym, parse_expr
 
 N = repro.symbol("N")
 M = repro.symbol("M")
@@ -386,6 +389,95 @@ class TestGlobalValueNumbering:
         record = outcome.report.record_for("global-value-numbering")
         assert record is not None
         assert record.info["nodes_deduplicated"] == 1
+
+
+# ---------------------------------------------------------------------------
+# opaque containers: read by control flow, never through a memlet
+# ---------------------------------------------------------------------------
+@repro.program
+def _twice_guarded(x: repro.float64[N]):
+    s = np.sum(x)
+    y = x * 1.0
+    if s > 0.0:
+        y[:] = x * 2.0
+    if s > 0.0:
+        y[:] = y * 3.0
+    return np.sum(y)
+
+
+def _two_bounded_loops() -> SDFG:
+    """``n1 = N - 1; for i in range(n1): ...; n2 = N - 1; for j in range(n2):
+    ...`` — ``n1``/``n2`` are read only by their loop's bound."""
+    sdfg = SDFG("bounded")
+    sdfg.add_symbol("N")
+    sdfg.add_array("A", (Sym("N"),), "float64")
+    sdfg.arg_names = ["A"]
+    for name, itervar, expr in (("n1", "i", "a * 2.0"), ("n2", "j", "a + 1.0")):
+        sdfg.add_array(name, (), "int64", transient=True)
+        sdfg.add_state().add(MapCompute(
+            params=[], ranges=[], expr=parse_expr("N - 1"), inputs={},
+            output=Memlet(name, None)))
+        loop = sdfg.root.add(LoopRegion(itervar, 0, Sym(name)))
+        element = Memlet("A", Subset.point([Sym(itervar)]))
+        loop.body.add_state().add(MapCompute(
+            params=[], ranges=[], expr=parse_expr(expr), inputs={"a": element},
+            output=element))
+    return sdfg
+
+
+#: (SDFG factory, the opaque pair — two identical definitions GVN and
+#: planning would otherwise merge or share, call arguments).
+OPAQUE_CASES = {
+    "branch_condition": (_twice_guarded.to_sdfg, ("__cond", "__cond_0"),
+                         lambda: (np.linspace(0.5, 1.5, 8),)),
+    "loop_bound": (_two_bounded_loops, ("n1", "n2"),
+                   lambda: (np.linspace(0.5, 1.5, 8),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPAQUE_CASES))
+class TestOpaqueContainers:
+    def test_reported_opaque(self, case):
+        make, names, _ = OPAQUE_CASES[case]
+        sdfg = make()
+        uses = collect_uses(sdfg)
+        info = compute_liveness(sdfg)
+        for name in names:
+            assert not uses[name].reads and uses[name].opaque_reads == 1
+            assert info.uses[name].opaque_reads == 1
+
+    def test_kept_by_dce(self, case):
+        make, names, _ = OPAQUE_CASES[case]
+        sdfg = make()
+        eliminate_dead_code(sdfg)
+        uses = collect_uses(sdfg)
+        for name in names:
+            assert name in sdfg.arrays and len(uses[name].writes) == 1
+
+    def test_never_merged_or_shared(self, case):
+        make, names, _ = OPAQUE_CASES[case]
+        sdfg = make()
+        plan = plan_memory(sdfg)
+        for name in names:
+            assert name not in plan.assignments
+            assert name not in plan.assignments.values()
+        result = global_value_numbering(sdfg)
+        assert not any(set(pair) & set(names) for pair in result.merged)
+
+    @pytest.mark.parametrize("level", ["O2", "O3"])
+    def test_survive_the_optimizing_pipeline(self, case, level):
+        make, names, args = OPAQUE_CASES[case]
+        ref_args, opt_args = args(), args()
+        ref = compile_forward(make(), "O0", cache=False).compiled(*ref_args)
+        outcome = compile_forward(make(), level, cache=False)
+        assert outcome.report.record_for("map-fusion").info["maps_fused"] == 0
+        uses = collect_uses(outcome.compiled.sdfg)
+        for name in names:
+            assert uses[name].opaque_reads == 1 and len(uses[name].writes) == 1
+        result = outcome.compiled(*opt_args)
+        if ref is not None:  # the loop-bound program only updates ``A``
+            np.testing.assert_allclose(result, ref, rtol=1e-12)
+        np.testing.assert_allclose(opt_args[0], ref_args[0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -286,9 +286,9 @@ class TestIdentityWriteQueries:
         assert len(uses["u"].reads) == 1
         assert uses["u"].writes[0].position() < uses["u"].reads[0].position()
         assert uses["x"].opaque_reads == 0
-        # The SDFG convenience wrapper returns the same analysis.
-        via_method = sdfg.container_uses()
-        assert via_method["u"].writes[0].node is uses["u"].writes[0].node
+        # One position per compute node, shared by every site of that node.
+        assert [site.pos for site in uses.nodes] == list(range(len(uses.nodes)))
+        assert uses.nodes[uses["u"].writes[0].pos] is uses["u"].writes[0]
 
 
 class TestSubexpressionHoisting:
