@@ -3,7 +3,7 @@
 Every ``bench_*`` module regenerates one table or figure of the paper's
 evaluation.  Kernels are run at the ``"paper"`` size preset (scaled-down
 versions of NPBench's paper sizes so the whole suite finishes in minutes -
-see EXPERIMENTS.md); the comparison tables report measured DaCe-AD and
+see docs/benchmarks.md); the comparison tables report measured DaCe-AD and
 jaxlike gradient times, the resulting speedup and the paper's reported number
 where available.
 """

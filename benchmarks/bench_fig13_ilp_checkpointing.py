@@ -2,8 +2,8 @@
 
 All 2^3 store/recompute configurations of the Listing-1 example are evaluated:
 for each configuration we report the measured gradient runtime and the
-*modelled* peak memory (the quantity the ILP constrains; see EXPERIMENTS.md
-for why measured RSS is not meaningful with this code generator), and verify
+*modelled* peak memory (the quantity the ILP constrains; benchmarks/e2e/README.md
+records how far the measured peak of the generated driver sits above it), and verify
 that the ILP-selected configuration is the fastest one that respects the
 memory limit - the paper's C-3.
 """

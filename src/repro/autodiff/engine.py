@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff.analysis import ActivityAnalysis, compute_activity
+from repro.autodiff.analysis import ActivityAnalysis, compute_activity, default_inputs
 from repro.autodiff.reverse import BackwardBuilder
 from repro.autodiff.rules import GradientNames
 from repro.autodiff.storage import StoragePlanner
@@ -51,17 +51,6 @@ class BackwardPassResult:
     strategy: object = None
 
 
-def _default_inputs(sdfg: SDFG) -> list[str]:
-    """All floating-point, non-transient containers, in signature order."""
-    names = []
-    for name in sdfg.arg_names:
-        if name in sdfg.arrays:
-            desc = sdfg.arrays[name]
-            if not desc.transient and np.issubdtype(desc.dtype, np.floating):
-                names.append(name)
-    return names
-
-
 def add_backward_pass(
     sdfg: SDFG,
     output: Optional[str] = None,
@@ -92,7 +81,7 @@ def add_backward_pass(
     if output not in forward.arrays:
         raise AutodiffError(f"Unknown output container {output!r}")
 
-    requested_inputs = list(inputs) if inputs is not None else _default_inputs(forward)
+    requested_inputs = list(inputs) if inputs is not None else default_inputs(forward)
     for name in requested_inputs:
         if name not in forward.arrays:
             raise AutodiffError(f"Unknown input container {name!r}")
@@ -107,8 +96,9 @@ def add_backward_pass(
                 f"{classification.reason}"
             )
 
-    # 1. Critical computation subgraph.
-    activity = compute_activity(forward, output)
+    # 1. Critical computation subgraph between the requested inputs and the
+    #    output: the backward pass computes no other gradient.
+    activity = compute_activity(forward, output, requested_inputs)
 
     # 2. Store/recompute planning (inserts forward saves).
     storage = StoragePlanner(forward, activity, strategy)

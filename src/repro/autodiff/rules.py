@@ -3,9 +3,10 @@
 Each forward compute node in the CCS is reversed in isolation (paper Section
 II, step 2): maps are differentiated symbolically connector-by-connector,
 library nodes get their classical adjoints (matmul, reductions, convolutions,
-...).  All gradient writes accumulate; full or partial overwrites in the
-forward pass are followed by gradient clearing of the overwritten subset
-(Fig. 4).
+...).  A rule contributes only to inputs the requested ones reach
+(``ActivityAnalysis.carries_gradient``).  All gradient writes accumulate;
+full or partial overwrites in the forward pass are followed by gradient
+clearing of the overwritten subset (Fig. 4).
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class GradientNames:
         return grad.name
 
 
-def _is_float(sdfg: SDFG, data: str) -> bool:
-    return np.issubdtype(sdfg.arrays[data].dtype, np.floating)
-
-
 def _region_params(prefix: str, subset: Optional[Subset], sdfg: SDFG, data: str,
                    counter: list[int]) -> tuple[list[str], list[Range], list]:
     """Map parameters/ranges iterating over a region memlet, plus the
@@ -85,6 +82,8 @@ class BackwardRuleEmitter:
         self.sdfg = sdfg
         self.storage = storage
         self.grads = grads
+        #: the one predicate deciding which inputs receive a contribution
+        self.carries_gradient = storage.activity.carries_gradient
         self._counter = [0]
 
     # ------------------------------------------------------------------ entry --
@@ -118,8 +117,6 @@ class BackwardRuleEmitter:
         if node.output.accumulate:
             return
         out = node.output.data
-        if not _is_float(self.sdfg, out):
-            return
         grad_out = self.grads.get(out)
         if isinstance(node, MapCompute):
             # The forward map's output subset is a per-element index function of
@@ -144,8 +141,6 @@ class BackwardRuleEmitter:
     # -- maps ----------------------------------------------------------------------
     def _emit_map(self, node: MapCompute, state: State) -> None:
         out = node.output.data
-        if not _is_float(self.sdfg, out):
-            return
         grad_out = self.grads.get(out)
         self_reference = out in node.read_data()
         overwrite = not node.output.accumulate
@@ -184,7 +179,7 @@ class BackwardRuleEmitter:
 
         for connector in node.inputs:
             data = node.inputs[connector].data
-            if not _is_float(self.sdfg, data):
+            if not self.carries_gradient(data):
                 continue
             derivative = simplify(diff(node.expr, connector))
             if derivative == Const(0):
@@ -232,19 +227,19 @@ class BackwardRuleEmitter:
         gout = self._gout_memlet(node)
         a_val = self._value_memlet(node, "_a")
         b_val = self._value_memlet(node, "_b")
-        a_float = _is_float(self.sdfg, a_memlet.data)
-        b_float = _is_float(self.sdfg, b_memlet.data)
+        a_varied = self.carries_gradient(a_memlet.data)
+        b_varied = self.carries_gradient(b_memlet.data)
 
         if a_rank == b_rank and a_rank in (2, 3):
             # Plain 2-D matmul, or a batched (3-D) stack where *both*
             # operands carry the leading vmap batch dimension: np.matmul
             # broadcasts the batch axis, and the transposed-operand code
             # generation swaps only the trailing matrix axes.
-            if a_float:
+            if a_varied:
                 state.add(LibraryCall(
                     "matmul", {"_a": gout, "_b": b_val}, self._grad_memlet(a_memlet),
                     attrs={"transpose_b": True}, label=f"bwd_{node.label}_a"))
-            if b_float:
+            if b_varied:
                 state.add(LibraryCall(
                     "matmul", {"_a": a_val, "_b": gout}, self._grad_memlet(b_memlet),
                     attrs={"transpose_a": True}, label=f"bwd_{node.label}_b"))
@@ -259,20 +254,20 @@ class BackwardRuleEmitter:
                 "the matmul outside the vmapped region."
             )
         elif a_rank == 2 and b_rank == 1:
-            if a_float:
+            if a_varied:
                 state.add(LibraryCall(
                     "outer", {"_a": gout, "_b": b_val}, self._grad_memlet(a_memlet),
                     label=f"bwd_{node.label}_a"))
-            if b_float:
+            if b_varied:
                 state.add(LibraryCall(
                     "matmul", {"_a": a_val, "_b": gout}, self._grad_memlet(b_memlet),
                     attrs={"transpose_a": True}, label=f"bwd_{node.label}_b"))
         elif a_rank == 1 and b_rank == 2:
-            if a_float:
+            if a_varied:
                 state.add(LibraryCall(
                     "matmul", {"_a": b_val, "_b": gout}, self._grad_memlet(a_memlet),
                     label=f"bwd_{node.label}_a"))
-            if b_float:
+            if b_varied:
                 state.add(LibraryCall(
                     "outer", {"_a": a_val, "_b": gout}, self._grad_memlet(b_memlet),
                     label=f"bwd_{node.label}_b"))
@@ -288,7 +283,7 @@ class BackwardRuleEmitter:
     def _emit_scaled_copy(self, state: State, node: ComputeNode, gout: Memlet,
                           value: Memlet, target: Memlet) -> None:
         """grad_target[sub] += gout_scalar * value[sub] (vector scale)."""
-        if not _is_float(self.sdfg, target.data):
+        if not self.carries_gradient(target.data):
             return
         params, ranges, element = _region_params("k", target.subset, self.sdfg, target.data,
                                                  self._counter)
@@ -329,11 +324,11 @@ class BackwardRuleEmitter:
         gout = self._gout_memlet(node)
         a_val = self._value_memlet(node, "_a")
         b_val = self._value_memlet(node, "_b")
-        if _is_float(self.sdfg, a_memlet.data):
+        if self.carries_gradient(a_memlet.data):
             state.add(LibraryCall(
                 "matmul", {"_a": gout, "_b": b_val}, self._grad_memlet(a_memlet),
                 label=f"bwd_{node.label}_a"))
-        if _is_float(self.sdfg, b_memlet.data):
+        if self.carries_gradient(b_memlet.data):
             state.add(LibraryCall(
                 "matmul", {"_a": gout, "_b": a_val}, self._grad_memlet(b_memlet),
                 attrs={"transpose_a": True}, label=f"bwd_{node.label}_b"))
@@ -360,7 +355,7 @@ class BackwardRuleEmitter:
 
     def _emit_reduce_sum(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         params, ranges, element = _region_params("r", source.subset, self.sdfg, source.data,
                                                  self._counter)
@@ -379,7 +374,7 @@ class BackwardRuleEmitter:
 
     def _emit_reduce_minmax(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         params, ranges, element = _region_params("r", source.subset, self.sdfg, source.data,
                                                  self._counter)
@@ -459,7 +454,7 @@ class BackwardRuleEmitter:
 
     def _emit_transpose(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         # An explicit axes permutation (batched transposes, repro.vmap) is
         # its own inverse for the (0, 2, 1) trailing-axes swap; propagate it.
@@ -470,7 +465,7 @@ class BackwardRuleEmitter:
 
     def _emit_copy(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         state.add(LibraryCall(
             "copy", {"_in": self._gout_memlet(node)}, self._grad_memlet(source),
@@ -478,7 +473,7 @@ class BackwardRuleEmitter:
 
     def _emit_flatten(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         state.add(LibraryCall(
             "flatten", {"_in": self._gout_memlet(node)}, self._grad_memlet(source),
@@ -486,7 +481,7 @@ class BackwardRuleEmitter:
 
     def _emit_relu(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         params, ranges, element = _region_params("r", source.subset, self.sdfg, source.data,
                                                  self._counter)
@@ -510,7 +505,7 @@ class BackwardRuleEmitter:
 
     def _emit_softmax(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         out_val = self._output_value_memlet(node)
         state.add(LibraryCall(
@@ -524,24 +519,24 @@ class BackwardRuleEmitter:
         gout = self._gout_memlet(node)
         in_memlet = node.inputs["_in"]
         w_memlet = node.inputs["_w"]
-        if _is_float(self.sdfg, in_memlet.data):
+        if self.carries_gradient(in_memlet.data):
             state.add(LibraryCall(
                 "conv2d_backward_input",
                 {"_gout": gout, "_w": self._value_memlet(node, "_w")},
                 self._grad_memlet(in_memlet), attrs=attrs, label=f"bwd_{node.label}_in"))
-        if _is_float(self.sdfg, w_memlet.data):
+        if self.carries_gradient(w_memlet.data):
             state.add(LibraryCall(
                 "conv2d_backward_weights",
                 {"_gout": gout, "_x": self._value_memlet(node, "_in")},
                 self._grad_memlet(w_memlet), attrs=attrs, label=f"bwd_{node.label}_w"))
-        if "_b" in node.inputs and _is_float(self.sdfg, node.inputs["_b"].data):
+        if "_b" in node.inputs and self.carries_gradient(node.inputs["_b"].data):
             state.add(LibraryCall(
                 "conv2d_backward_bias", {"_gout": gout},
                 self._grad_memlet(node.inputs["_b"]), label=f"bwd_{node.label}_b"))
 
     def _emit_maxpool2d(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
-        if not _is_float(self.sdfg, source.data):
+        if not self.carries_gradient(source.data):
             return
         state.add(LibraryCall(
             "maxpool2d_backward",

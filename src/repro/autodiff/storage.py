@@ -29,7 +29,7 @@ checkpointing strategy (``strategy.decide``); the default stores everything
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,33 +57,36 @@ from repro.util.errors import AutodiffError
 # ---------------------------------------------------------------------------
 
 
-def needed_value_connectors(node: ComputeNode) -> tuple[set[str], bool]:
-    """Which input connectors' *values* the backward rule of ``node`` needs,
-    and whether it also needs the node's output value."""
+def needed_value_connectors(node: ComputeNode,
+                            carries_gradient: Callable[[str], bool]) -> tuple[set[str], bool]:
+    """Which input connectors' *values* the backward rule of ``node`` reads,
+    and whether it also reads the node's output value.
+
+    ``carries_gradient`` is the predicate the rules use to decide which
+    inputs receive a contribution (:meth:`ActivityAnalysis.carries_gradient`):
+    a value only the contribution to an unrequested input would read is not
+    needed."""
+    varied = {conn for conn, memlet in node.inputs.items() if carries_gradient(memlet.data)}
     if isinstance(node, MapCompute):
         needed: set[str] = set()
-        for conn in node.inputs:
-            derivative = diff(node.expr, conn)
-            needed |= derivative.free_symbols() & set(node.inputs)
+        for conn in varied:
+            needed |= simplify(diff(node.expr, conn)).free_symbols() & set(node.inputs)
         return needed, False
     if isinstance(node, LibraryCall):
         kind = node.kind
-        if kind == "matmul":
-            return {"_a", "_b"}, False
-        if kind == "outer":
-            return {"_a", "_b"}, False
+        if kind in ("matmul", "outer"):
+            # Each operand's gradient is the output gradient times the other.
+            return {other for conn, other in (("_a", "_b"), ("_b", "_a")) if conn in varied}, False
         if kind in ("reduce_sum", "transpose", "copy", "flatten"):
             return set(), False
         if kind in ("reduce_max", "reduce_min"):
-            return {"_in"}, True
-        if kind == "relu":
-            return {"_in"}, False
+            return ({"_in"}, True) if "_in" in varied else (set(), False)
+        if kind in ("relu", "maxpool2d"):
+            return varied & {"_in"}, False
         if kind == "softmax":
-            return set(), True
+            return set(), "_in" in varied
         if kind == "conv2d":
-            return {"_in", "_w"}, False
-        if kind == "maxpool2d":
-            return {"_in"}, False
+            return {other for conn, other in (("_in", "_w"), ("_w", "_in")) if conn in varied}, False
         raise AutodiffError(f"No backward rule for library node kind {kind!r}")
     raise AutodiffError(f"Unknown compute node type {type(node).__name__}")
 
@@ -209,7 +212,8 @@ class StoragePlanner:
         for position, node in enumerate(state.nodes):
             if node.node_id not in self.activity.active_nodes:
                 continue
-            needed_inputs, needs_output = needed_value_connectors(node)
+            needed_inputs, needs_output = needed_value_connectors(
+                node, self.activity.carries_gradient)
             for conn in sorted(needed_inputs):
                 data = node.inputs[conn].data
                 overwritten = data in later or data in node_writes[position:]

@@ -17,6 +17,10 @@ and once forced off — a planner bug then shows up as a plan-on divergence
 against the same oracle value.  ``--call-boundary`` adds, for every sampled
 configuration, one run per input presentation (strided view, Fortran order,
 float32, shuffled keywords), each compared with the plain call.
+``--wrt-subset`` follows every ``grad`` and ``vmap_grad`` configuration of a
+program with two or more array arguments by one that differentiates only a
+seeded strict subset of them, so a gradient the backward pass wrongly prunes
+(or a cleared accumulator it wrongly skips) diverges from the oracle.
 
 Failures are minimized with the delta-debugging shrinker and — when
 ``--corpus-dir`` is given — saved as corpus entries, which the regression
@@ -104,6 +108,23 @@ def with_call_boundary_dimension(configs: list[Config]) -> list[Config]:
     return expanded
 
 
+def with_wrt_subset_dimension(configs: list[Config], program: FuzzProgram,
+                              rng: random.Random) -> list[Config]:
+    """Follow every gradient configuration with one differentiating a seeded
+    strict subset of the array arguments (the ``--wrt-subset`` dimension)."""
+    arrays = [arg.name for arg in program.args if arg.is_array]
+    if len(arrays) < 2:
+        return configs
+    expanded = []
+    for config in configs:
+        expanded.append(config)
+        if config.mode in ("grad", "vmap_grad"):
+            chosen = set(rng.sample(arrays, rng.randint(1, len(arrays) - 1)))
+            expanded.append(dataclasses.replace(
+                config, wrt=tuple(name for name in arrays if name in chosen)))
+    return expanded
+
+
 def run_program(program: FuzzProgram, configs: list[Config],
                 ) -> list[CaseOutcome]:
     """All outcomes for one program (a build failure fails every config)."""
@@ -141,6 +162,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="re-run every configuration with its inputs "
                              "strided, Fortran-ordered, as float32 and by "
                              "shuffled keywords")
+    parser.add_argument("--wrt-subset", action="store_true",
+                        help="re-run every gradient configuration "
+                             "differentiating a seeded strict subset of the "
+                             "array arguments")
     parser.add_argument("--out", default=None,
                         help="write the run report JSON here")
     parser.add_argument("--corpus-dir", default=None,
@@ -167,6 +192,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             configs = with_planning_dimension(configs)
         if args.call_boundary:
             configs = with_call_boundary_dimension(configs)
+        if args.wrt_subset:
+            configs = with_wrt_subset_dimension(
+                configs, program, random.Random(args.seed * 11 + index))
         for outcome in run_program(program, configs):
             outcomes.append(outcome)
             if outcome.status == "fail":
@@ -211,6 +239,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         extra["planning_dimension"] = True
     if args.call_boundary:
         extra["call_boundary_dimension"] = True
+    if args.wrt_subset:
+        extra["wrt_subset_dimension"] = True
     report = build_report(
         seed=args.seed, program_count=len(programs), outcomes=outcomes,
         elapsed_seconds=elapsed, full_matrix=args.full_matrix,

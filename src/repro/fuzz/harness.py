@@ -10,7 +10,10 @@ every configuration with planning forced on and forced off, so a buffer-reuse
 bug shows up as a plan-on/plan-off divergence against the same oracle) and
 with the call boundary (``--call-boundary`` re-runs every configuration with
 its inputs in each of :data:`PRESENTATIONS` and compares with the plain call
-of the same compiled program on the same values).
+of the same compiled program on the same values) and with the requested
+gradients (``--wrt-subset`` re-runs every ``grad``/``vmap_grad``
+configuration differentiating only a seeded strict subset of the array
+arguments, against the oracle's gradient for the same ``argnums``).
 
 For each configuration the program is compiled through the real pipeline
 (:func:`repro.pipeline.compile_forward`, :class:`~repro.autodiff.api.
@@ -85,6 +88,8 @@ class Config:
     (``False``); ``None`` keeps the tier's default (on at O2+).
     ``presentation`` names one of :data:`PRESENTATIONS`; such a configuration
     is checked against its own plain call, not against the oracle.
+    ``wrt`` names the arrays a gradient mode differentiates; ``None`` means
+    every array argument.
     """
 
     tier: str
@@ -92,6 +97,7 @@ class Config:
     backend: str
     planning: Optional[bool] = None
     presentation: Optional[str] = None
+    wrt: Optional[tuple[str, ...]] = None
 
     def label(self) -> str:
         label = f"{self.tier}/{self.mode}/{self.backend}"
@@ -99,6 +105,8 @@ class Config:
             label += "/plan-on" if self.planning else "/plan-off"
         if self.presentation is not None:
             label += f"/call-{self.presentation}"
+        if self.wrt is not None:
+            label += "/wrt-" + "+".join(self.wrt)
         return label
 
 
@@ -251,6 +259,17 @@ def _to_numpy(value) -> np.ndarray:
     return np.asarray(value)
 
 
+def _on_device(oracle: Callable) -> Callable:
+    """``oracle`` with its plain array arguments wrapped as device arrays, so
+    functional updates (``x.at[...]``) work and an argument ``grad`` does not
+    differentiate still meets its operands as a device array; differentiated
+    arguments already arrive wrapped."""
+    def call(*args, **kwargs):
+        return oracle(*[jaxlike.DeviceArray(v) if isinstance(v, np.ndarray) else v
+                        for v in args], **kwargs)
+    return call
+
+
 def _first_line(exc: BaseException) -> str:
     text = str(exc).strip().splitlines()
     return text[0] if text else type(exc).__name__
@@ -272,36 +291,30 @@ class DifferentialRunner:
         self.data = spec.make_data()
         self.batched_data = spec.make_batched_data()
         self.cache = CompilationCache(maxsize=256)
-        self._oracle_values: dict[str, object] = {}
+        self._oracle_values: dict[tuple, object] = {}
 
     # ---------------------------------------------------------- oracle side
     def _positional(self, data: dict[str, object]) -> list[object]:
         return [data[arg.name] for arg in self.spec.args]
 
-    def oracle_value(self, mode: str):
-        """The jaxlike reference result for one mode (computed once)."""
-        if mode in self._oracle_values:
-            return self._oracle_values[mode]
+    def oracle_value(self, mode: str, wrt: Optional[tuple[str, ...]] = None):
+        """The jaxlike reference result for one mode and, for the gradient
+        modes, one ``wrt`` (computed once)."""
+        key = (mode, wrt)
+        if key in self._oracle_values:
+            return self._oracle_values[key]
         spec = self.spec
         kwargs = dict(spec.symbols)
-        wrt_idx = tuple(
-            i for i, arg in enumerate(spec.args) if arg.is_array
-        )
+        names = [name for name in spec.wrt() if wrt is None or name in wrt]
+        wrt_idx = tuple(i for i, arg in enumerate(spec.args) if arg.name in names)
         if mode == "forward":
-            # Wrap arrays so functional updates (``x.at[...]``) work; grad
-            # and vmap wrap their arguments themselves.
-            positional = [
-                jaxlike.DeviceArray(v) if isinstance(v, np.ndarray) else v
-                for v in self._positional(_copy_data(self.data))
-            ]
-            out = self.oracle(*positional, **kwargs)
+            out = _on_device(self.oracle)(*self._positional(_copy_data(self.data)), **kwargs)
             value = _to_numpy(out)
         elif mode == "grad":
-            grads = jaxlike.grad(self.oracle, argnums=wrt_idx)(
+            grads = jaxlike.grad(_on_device(self.oracle), argnums=wrt_idx)(
                 *self._positional(_copy_data(self.data)), **kwargs
             )
-            value = {name: _to_numpy(g)
-                     for name, g in zip(spec.wrt(), grads)}
+            value = {name: _to_numpy(g) for name, g in zip(names, grads)}
         elif mode == "vmap":
             out = jaxlike.vmap(self.oracle, in_axes=spec.oracle_in_axes())(
                 *self._positional(_copy_data(self.batched_data)), **kwargs
@@ -309,15 +322,14 @@ class DifferentialRunner:
             value = _to_numpy(out)
         elif mode == "vmap_grad":
             out = jaxlike.vmap(
-                jaxlike.grad(self.oracle, argnums=wrt_idx),
+                jaxlike.grad(_on_device(self.oracle), argnums=wrt_idx),
                 in_axes=spec.oracle_in_axes(),
             )(*self._positional(_copy_data(self.batched_data)), **kwargs)
             stacked = out if isinstance(out, tuple) else (out,)
-            value = {name: _to_numpy(g)
-                     for name, g in zip(spec.wrt(), stacked)}
+            value = {name: _to_numpy(g) for name, g in zip(names, stacked)}
         else:
             raise ValueError(f"Unknown mode {mode!r}")
-        self._oracle_values[mode] = value
+        self._oracle_values[key] = value
         return value
 
     # ----------------------------------------------------------- repro side
@@ -342,12 +354,13 @@ class DifferentialRunner:
             fallback = getattr(compiled.pipeline_report, "backend_fallback", None)
             return np.asarray(value), fallback
         if config.mode in ("grad", "vmap_grad"):
-            gf = GradientFunction(self.sdfg, wrt=spec.wrt(), **options)
+            wrt = list(config.wrt) if config.wrt is not None else spec.wrt()
+            gf = GradientFunction(self.sdfg, wrt=wrt, **options)
             if config.mode == "vmap_grad":
                 gf = repro_vmap(gf, in_axes=spec.in_axes())
             raw = gf(**data)
             if not isinstance(raw, dict):
-                raw = {spec.wrt()[0]: raw}
+                raw = {wrt[0]: raw}
             return ({k: np.asarray(v) for k, v in raw.items()},
                     gf.report.backend_fallback)
         raise ValueError(f"Unknown mode {config.mode!r}")
@@ -381,7 +394,7 @@ class DifferentialRunner:
                                    config.presentation, spec.data_seed)
         try:
             if config.presentation is None:
-                expected = self.oracle_value(config.mode)
+                expected = self.oracle_value(config.mode, config.wrt)
         except Exception as exc:  # noqa: BLE001 - oracle bugs are harness bugs
             return CaseOutcome(
                 program=spec.name, config=config, status="fail",

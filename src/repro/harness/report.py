@@ -27,8 +27,8 @@ def speedup_summary(results) -> dict:
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
-    """Plain-text table (the benchmark scripts print these; EXPERIMENTS.md
-    embeds them)."""
+    """Plain-text table (the ``bench_*.py`` scripts print these; their index
+    is docs/benchmarks.md)."""
     rendered_rows = [[_fmt(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rendered_rows:

@@ -6,8 +6,8 @@ slicing) and DaCe AD's strength (in-place gradient propagation).
 
 ``hdiff``, ``vadv`` and ``adi`` are faithful-in-structure but simplified
 versions of the NPBench kernels (fewer terms per stencil); the loop/update
-pattern, which determines the performance behaviour, is preserved.  See
-EXPERIMENTS.md.
+pattern, which determines the performance behaviour, is preserved.  Their
+Figure 11 script is indexed in docs/benchmarks.md.
 """
 
 from __future__ import annotations

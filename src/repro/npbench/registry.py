@@ -25,7 +25,7 @@ class KernelSpec:
         Scientific domain label (weather, linear algebra, deep learning, ...).
     sizes:
         Size presets; ``"S"`` is used by tests, ``"paper"`` by benchmarks
-        (scaled-down versions of NPBench's paper sizes - see EXPERIMENTS.md).
+        (scaled-down versions of NPBench's paper sizes - see docs/benchmarks.md).
     initialize:
         ``initialize(**size) -> dict`` producing the input containers.
     numpy_fn:
@@ -42,7 +42,8 @@ class KernelSpec:
         Element dtype (float32 for the deep-learning kernels, float64 else).
     paper_speedup:
         The speedup over JAX JIT the paper reports for this kernel (CPU), if
-        stated; used for the paper-vs-measured tables in EXPERIMENTS.md.
+        stated; used for the paper-vs-measured tables the ``bench_fig*``
+        scripts print (docs/benchmarks.md).
     """
 
     name: str

@@ -294,6 +294,8 @@ class Autodiff(Pass):
         # can replay it onto the caller's strategy instance.
         ctx.artifacts["checkpoint_report"] = getattr(ctx.strategy, "last_report", None)
         ctx.note("gradients", sorted(result.gradient_names.values()))
+        ctx.note("ccs_nodes", len(result.activity.active_nodes))
+        ctx.note("wrt_pruned_nodes", len(result.activity.pruned_nodes))
         return result.sdfg
 
     def fingerprint(self) -> tuple:

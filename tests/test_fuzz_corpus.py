@@ -32,6 +32,7 @@ def test_corpus_is_seeded():
         "seed_hdiff_partial_window",
         "negative_step_slice_rejected",
         "seed_branch_between_producer_consumer",
+        "seed_partial_overwrite_wrt_subset",
     } <= names
 
 

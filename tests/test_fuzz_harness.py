@@ -94,6 +94,34 @@ class TestOutcomes:
                                 CompiledSDFG.call_with_bindings)
             assert runner.run(configs[7]).error_type == "Divergence"
 
+    def test_wrt_subset_differentiates_a_strict_subset(self):
+        """Every gradient configuration is followed by one over a strict
+        subset of the arrays; the labels round-trip and the subset agrees
+        with the oracle's gradient for the same argnums, including where the
+        unrequested array meets a requested one (``a * b``)."""
+        import random
+
+        from repro.fuzz.__main__ import with_wrt_subset_dimension
+        from repro.fuzz.corpus import parse_config
+
+        program = _template("seed_float32_elementwise")
+        arrays = {arg.name for arg in program.args if arg.is_array}
+        configs = with_wrt_subset_dimension(
+            [Config("O0", "forward", "numpy"), Config("O1", "grad", "numpy"),
+             Config("O3", "vmap_grad", "numpy")], program, random.Random(3))
+        assert [c.mode for c in configs] == ["forward", "grad", "grad",
+                                             "vmap_grad", "vmap_grad"]
+        for config in (configs[2], configs[4]):
+            assert config.wrt and set(config.wrt) < arrays
+            assert "/wrt-" in config.label()
+        assert [parse_config(config.label()) for config in configs] == configs
+        runner = DifferentialRunner(CaseSpec.from_program(program))
+        assert [runner.run(config).status for config in configs] == ["ok"] * 5
+
+        single = _template("seed_hdiff_partial_window")
+        plain = [Config("O1", "grad", "numpy")]
+        assert with_wrt_subset_dimension(plain, single, random.Random(3)) == plain
+
     def test_float32_uses_loosened_tolerance(self):
         spec = CaseSpec.from_program(_template("seed_float32_elementwise"))
         assert spec.tolerance == 1e-4
