@@ -1,29 +1,26 @@
 """Figure 13 + Section V-D: ILP checkpointing on the re-materialisation example.
 
-All 2^3 store/recompute configurations of the Listing-1 example are evaluated:
-for each configuration we report the measured gradient runtime and the
-*modelled* peak memory (the quantity the ILP constrains; benchmarks/e2e/README.md
-records how far the measured peak of the generated driver sits above it), and verify
-that the ILP-selected configuration is the fastest one that respects the
-memory limit - the paper's C-3.
+All 2^3 store/recompute configurations of the Listing-1 example are compiled
+through the pipeline (``compile_gradient`` at the default ``O1`` tier, memory
+planning included) and evaluated: for each configuration we report the
+measured gradient runtime, the *modelled* peak memory (the quantity the ILP
+constrains) and the *measured* peak of the generated driver (``tracemalloc``,
+inputs excluded; the model counts only the forwarded arrays, so the measured
+peak sits above it), and verify that the ILP-selected configuration is the
+fastest one that respects the memory limit - the paper's C-3.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 import repro
-from repro.autodiff import add_backward_pass
-from repro.checkpointing import (
-    ILPCheckpointing,
-    UserSelection,
-    build_memory_sequence,
-    compute_candidate_costs,
-)
+from repro.checkpointing import ILPCheckpointing, UserSelection
 from repro.checkpointing.memseq import peak_memory
-from repro.codegen import compile_sdfg
-from repro.harness import format_table
+from repro.harness import format_table, peak_bytes
+from repro.pipeline import compile_gradient
 
 N_SYM = repro.symbol("N")
 N_VALUE = 1024            # each forwarded array is 8 MiB
@@ -48,12 +45,24 @@ def _data():
     return {"C": rng.random((N_VALUE, N_VALUE)), "D": rng.random((N_VALUE, N_VALUE))}
 
 
-def _gradient_for(config: dict[str, str]):
-    strategy = UserSelection(recompute=[name for name, decision in config.items()
-                                        if decision == "recompute"])
-    result = add_backward_pass(listing1.to_sdfg(), inputs=["C"], strategy=strategy)
-    compiled = compile_sdfg(result.sdfg, result_names=[result.gradient_names["C"]])
-    return result, compiled
+def _compile(strategy):
+    return compile_gradient(listing1, wrt=["C"], checkpointing=strategy, cache=False).compiled
+
+
+@functools.lru_cache(maxsize=None)
+def _ilp():
+    """The ILP's decision report and the gradient it compiled (once)."""
+    strategy = ILPCheckpointing(memory_limit_mib=MEMORY_LIMIT_MIB,
+                                symbol_values={"N": N_VALUE})
+    compiled = _compile(strategy)
+    return strategy.last_report, compiled
+
+
+def _modelled_mib(config: dict[str, str]) -> float:
+    """The ILP's memory model evaluated at one store/recompute assignment."""
+    report = _ilp()[0]
+    decisions = {c.key: int(config[c.data] == "store") for c in report.candidate_costs}
+    return peak_memory(report.memory_terms, decisions) / 2**20
 
 
 _CONFIGS = [dict(zip(("A0", "A1", "A2"), choice))
@@ -64,55 +73,44 @@ _MEASURED: dict[str, dict] = {}
 @pytest.mark.parametrize("index", range(len(_CONFIGS)))
 def test_fig13_configuration(benchmark, index):
     config = _CONFIGS[index]
-    result, compiled = _gradient_for(config)
+    compiled = _compile(UserSelection(recompute=[name for name, decision in config.items()
+                                                 if decision == "recompute"]))
     data = _data()
     benchmark.pedantic(lambda: compiled(**data), rounds=3, warmup_rounds=1)
-
-    # Modelled peak memory of this configuration (decision-dependent terms).
-    candidates = list(result.storage.candidates.values())
-    costs = {c.key: compute_candidate_costs(result.sdfg, c, {"N": N_VALUE}) for c in candidates}
-    terms = build_memory_sequence(result.sdfg, candidates, costs, {"N": N_VALUE})
-    decisions = {c.key: (1 if config[c.data] == "store" else 0) for c in candidates}
     _MEASURED[f"C-{index}"] = {
         "config": config,
         "runtime": benchmark.stats.stats.median,
-        "peak_mib": peak_memory(terms, decisions) / 2**20,
+        "peak_mib": _modelled_mib(config),
+        "measured_mib": peak_bytes(compiled, data) / 2**20,
     }
 
 
-def test_fig13_ilp_selects_best_feasible(benchmark):
-    def solve():
-        strategy = ILPCheckpointing(memory_limit_mib=MEMORY_LIMIT_MIB,
-                                    symbol_values={"N": N_VALUE})
-        add_backward_pass(listing1.to_sdfg(), inputs=["C"], strategy=strategy)
-        return strategy.last_report
-
-    report = benchmark.pedantic(solve, rounds=1, warmup_rounds=0)
+def test_fig13_ilp_selects_best_feasible():
+    report, compiled = _ilp()
     chosen = report.decisions_by_data
 
     rows = []
-    feasible_runtimes = {}
     for label, entry in sorted(_MEASURED.items()):
         config = entry["config"]
         feasible = entry["peak_mib"] <= MEMORY_LIMIT_MIB
-        is_chosen = config == chosen
         rows.append([label,
                      "/".join("S" if config[a] == "store" else "R" for a in ("A0", "A1", "A2")),
-                     entry["runtime"] * 1e3, entry["peak_mib"], "yes" if feasible else "no",
-                     "<-- ILP" if is_chosen else ""])
-        if feasible:
-            feasible_runtimes[label] = entry["runtime"]
+                     entry["runtime"] * 1e3, entry["peak_mib"], entry["measured_mib"],
+                     "yes" if feasible else "no",
+                     "<-- ILP" if config == chosen else ""])
     print()
     print(format_table(
-        ["config", "A0/A1/A2", "runtime [ms]", "modelled peak [MiB]", "feasible", "ILP choice"],
+        ["config", "A0/A1/A2", "runtime [ms]", "modelled peak [MiB]", "measured peak [MiB]",
+         "feasible", "ILP choice"],
         rows,
         title=f"Figure 13 - store/recompute configurations (limit {MEMORY_LIMIT_MIB} MiB, "
               f"N={N_VALUE})"))
     print(f"ILP solve time: {report.solve_time_seconds * 1e3:.2f} ms "
-          f"({report.num_variables} decision variables)")
+          f"({report.num_variables} decision variables); ILP-compiled driver: "
+          f"modelled {report.modeled_peak_bytes / 2**20:.1f} MiB, measured "
+          f"{peak_bytes(compiled, _data()) / 2**20:.1f} MiB")
 
     # The paper's headline property: the ILP choice stores the two expensive
     # arrays and recomputes the cheapest one (C-3-like), and it is feasible.
     assert chosen == {"A0": "recompute", "A1": "store", "A2": "store"}
-    chosen_entry = next(e for e in _MEASURED.values() if e["config"] == chosen)
-    assert chosen_entry["peak_mib"] <= MEMORY_LIMIT_MIB
+    assert _modelled_mib(chosen) <= MEMORY_LIMIT_MIB

@@ -10,8 +10,8 @@ program:
   (a timeline of allocations/deallocations, parametric in the decision
   variables) by a user-given memory limit, for every control-flow path.
 
-Solvers: SciPy's MILP (HiGHS), an own branch-and-bound, exhaustive
-enumeration (used to cross-check the others in tests) and a greedy heuristic.
+Solver: SciPy's MILP (HiGHS); exhaustive enumeration cross-checks it in
+tests.
 
 The strategies in :mod:`repro.checkpointing.strategy` plug into
 :func:`repro.autodiff.add_backward_pass` / :func:`repro.grad`.
@@ -20,12 +20,7 @@ The strategies in :mod:`repro.checkpointing.strategy` plug into
 from repro.checkpointing.costs import CandidateCosts, compute_candidate_costs
 from repro.checkpointing.memseq import MemoryTerm, build_memory_sequence
 from repro.checkpointing.ilp import CheckpointILP, build_ilp
-from repro.checkpointing.solvers import (
-    solve_branch_and_bound,
-    solve_bruteforce,
-    solve_greedy,
-    solve_with_scipy,
-)
+from repro.checkpointing.solvers import solve_bruteforce, solve_with_scipy
 from repro.checkpointing.strategy import (
     CheckpointingStrategy,
     ILPCheckpointing,
@@ -43,9 +38,7 @@ __all__ = [
     "CheckpointILP",
     "build_ilp",
     "solve_with_scipy",
-    "solve_branch_and_bound",
     "solve_bruteforce",
-    "solve_greedy",
     "CheckpointingStrategy",
     "StoreAll",
     "RecomputeAll",

@@ -1,22 +1,17 @@
 """ILP solvers for the checkpointing problem.
 
-Four interchangeable backends; all return ``(decisions, objective)`` where
-``decisions`` maps candidate key -> 0/1 (0 = recompute, 1 = store):
+Both return ``(decisions, objective)`` where ``decisions`` maps candidate
+key -> 0/1 (0 = recompute, 1 = store):
 
-* :func:`solve_with_scipy` - SciPy's HiGHS-based MILP solver (default);
-* :func:`solve_branch_and_bound` - own depth-first branch and bound;
-* :func:`solve_bruteforce` - exhaustive enumeration (reference for tests);
-* :func:`solve_greedy` - store-greedy heuristic (used as a fallback and as an
-  ablation baseline in the benchmarks).
+* :func:`solve_with_scipy` - SciPy's HiGHS-based MILP solver, the one
+  :class:`~repro.checkpointing.ILPCheckpointing` uses;
+* :func:`solve_bruteforce` - exhaustive enumeration (reference for tests).
 """
 
 from repro.checkpointing.solvers.scipy_backend import solve_with_scipy
-from repro.checkpointing.solvers.exact import solve_branch_and_bound, solve_bruteforce
-from repro.checkpointing.solvers.greedy import solve_greedy
+from repro.checkpointing.solvers.exact import solve_bruteforce
 
 __all__ = [
     "solve_with_scipy",
-    "solve_branch_and_bound",
     "solve_bruteforce",
-    "solve_greedy",
 ]

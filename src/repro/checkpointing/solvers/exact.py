@@ -1,10 +1,5 @@
-"""Exact solvers implemented from scratch: branch-and-bound and brute force.
-
-The checkpointing ILP is a multi-dimensional knapsack: every memory
-coefficient is non-negative (storing more can only increase memory) and every
-objective weight is non-negative (storing more can only reduce recomputation
-cost), which the branch-and-bound exploits for its bound.
-"""
+"""Exhaustive enumeration: the reference the tests check the MILP solver
+against on small problems."""
 
 from __future__ import annotations
 
@@ -30,63 +25,6 @@ def solve_bruteforce(problem: CheckpointILP) -> tuple[dict[str, int], float]:
         cost = problem.objective(decisions)
         if cost < best_cost - 1e-12:
             best, best_cost = decisions, cost
-    if best is None:
-        raise CheckpointingError("No feasible store/recompute assignment under the memory limit")
-    return best, best_cost
-
-
-def solve_branch_and_bound(problem: CheckpointILP) -> tuple[dict[str, int], float]:
-    """Depth-first branch and bound.
-
-    Variables are explored in decreasing order of recomputation cost, trying
-    ``store`` (v=1) first.  The bound assumes every undecided variable can
-    still be stored (cost 0), which is admissible because objective weights
-    are non-negative.
-    """
-    keys = sorted(problem.keys, key=lambda k: -problem.recompute_costs[k])
-    if not keys:
-        return {}, 0.0
-
-    best: dict[str, int] | None = None
-    best_cost = float("inf")
-
-    def partial_feasible(decisions: dict[str, int]) -> bool:
-        # Optimistic feasibility: undecided variables set to 0 (recompute) can
-        # only lower memory, so if even that violates a constraint, prune.
-        for key in problem.forced_store:
-            if decisions.get(key, 1) == 0:
-                return False
-        for coeffs, bound in problem.constraints:
-            used = sum(coeffs.get(k, 0.0) * v for k, v in decisions.items() if coeffs.get(k))
-            minimum_rest = sum(
-                min(0.0, coeffs.get(k, 0.0)) for k in problem.keys if k not in decisions
-            )
-            if used + minimum_rest > bound + 1e-6:
-                return False
-        return True
-
-    def recurse(position: int, decisions: dict[str, int], cost_so_far: float) -> None:
-        nonlocal best, best_cost
-        if cost_so_far >= best_cost - 1e-12:
-            return
-        if not partial_feasible(decisions):
-            return
-        if position == len(keys):
-            full = dict(decisions)
-            if problem.feasible(full):
-                best, best_cost = full, cost_so_far
-            return
-        key = keys[position]
-        # Branch 1: store (no added cost).
-        decisions[key] = 1
-        recurse(position + 1, decisions, cost_so_far)
-        # Branch 2: recompute (adds c_i), only if allowed.
-        if key not in problem.forced_store:
-            decisions[key] = 0
-            recurse(position + 1, decisions, cost_so_far + problem.recompute_costs[key])
-        del decisions[key]
-
-    recurse(0, {}, 0.0)
     if best is None:
         raise CheckpointingError("No feasible store/recompute assignment under the memory limit")
     return best, best_cost

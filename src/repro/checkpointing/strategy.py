@@ -22,23 +22,11 @@ from typing import Mapping, Optional, Sequence
 
 from repro.autodiff.storage import RematCandidate
 from repro.checkpointing.costs import CandidateCosts, compute_candidate_costs
-from repro.checkpointing.ilp import CheckpointILP, build_ilp
+from repro.checkpointing.ilp import build_ilp
 from repro.checkpointing.memseq import MemoryTerm, build_memory_sequence, peak_memory
-from repro.checkpointing.solvers import (
-    solve_branch_and_bound,
-    solve_bruteforce,
-    solve_greedy,
-    solve_with_scipy,
-)
+from repro.checkpointing.solvers import solve_with_scipy
 from repro.ir import SDFG
 from repro.util.errors import CheckpointingError
-
-_SOLVERS = {
-    "scipy": solve_with_scipy,
-    "branch_and_bound": solve_branch_and_bound,
-    "bruteforce": solve_bruteforce,
-    "greedy": solve_greedy,
-}
 
 
 class CheckpointingStrategy:
@@ -98,40 +86,30 @@ class ILPReport:
     modeled_peak_bytes: float = 0.0
     memory_limit_bytes: float = 0.0
     solve_time_seconds: float = 0.0
-    solver: str = "scipy"
     num_variables: int = 0
 
 
 class ILPCheckpointing(CheckpointingStrategy):
-    """Automatic store/recompute selection under a memory limit (Section IV).
+    """Automatic store/recompute selection under a memory limit (Section IV),
+    solved with SciPy's MILP (HiGHS).
 
     Parameters
     ----------
     memory_limit_mib:
-        The user-defined memory constraint in MiB.
+        The user-defined memory constraint in MiB; it bounds the
+        decision-dependent containers (see :mod:`repro.checkpointing.memseq`).
     symbol_values:
         Concrete values of the SDFG's size symbols (needed to evaluate sizes
         and FLOP counts statically).
-    solver:
-        One of ``scipy`` (default), ``branch_and_bound``, ``bruteforce``,
-        ``greedy``.
-    include_arguments:
-        Whether caller-provided containers count towards the limit.
     """
 
     def __init__(
         self,
         memory_limit_mib: float,
         symbol_values: Optional[Mapping[str, int]] = None,
-        solver: str = "scipy",
-        include_arguments: bool = False,
     ) -> None:
-        if solver not in _SOLVERS:
-            raise CheckpointingError(f"Unknown ILP solver {solver!r}; options: {sorted(_SOLVERS)}")
         self.memory_limit_mib = float(memory_limit_mib)
         self.symbol_values = dict(symbol_values or {})
-        self.solver = solver
-        self.include_arguments = include_arguments
         self.last_report: Optional[ILPReport] = None
 
     def cache_fingerprint(self) -> tuple:
@@ -141,7 +119,7 @@ class ILPCheckpointing(CheckpointingStrategy):
             (name, stable_repr(value) or unique_token())
             for name, value in sorted(self.symbol_values.items())
         )
-        return (self.memory_limit_mib, self.solver, self.include_arguments, symbols)
+        return (self.memory_limit_mib, symbols)
 
     def decide(self, sdfg: SDFG, candidates: Sequence[RematCandidate]) -> dict[str, str]:
         if not candidates:
@@ -161,14 +139,12 @@ class ILPCheckpointing(CheckpointingStrategy):
 
         costs = [compute_candidate_costs(sdfg, c, symbol_values) for c in candidates]
         cost_map = {c.key: c for c in costs}
-        terms = build_memory_sequence(
-            sdfg, candidates, cost_map, symbol_values, include_arguments=self.include_arguments
-        )
+        terms = build_memory_sequence(sdfg, candidates, cost_map)
         limit_bytes = self.memory_limit_mib * 2**20
         problem = build_ilp(costs, terms, limit_bytes)
 
         start = time.perf_counter()
-        decisions, objective = _SOLVERS[self.solver](problem)
+        decisions, objective = solve_with_scipy(problem)
         elapsed = time.perf_counter() - start
 
         by_data = {}
@@ -183,7 +159,6 @@ class ILPCheckpointing(CheckpointingStrategy):
             modeled_peak_bytes=peak_memory(terms, decisions),
             memory_limit_bytes=limit_bytes,
             solve_time_seconds=elapsed,
-            solver=self.solver,
             num_variables=len(candidates),
         )
         return {

@@ -11,10 +11,7 @@ By default each program runs under a deterministic 8-configuration sample
 of the full ``{O0..O3} x {forward, grad, vmap, vmap_grad} x {numpy,
 cython}`` matrix (all four tiers, all four modes and both backends are
 exercised across the sample); ``--full-matrix`` runs all 32 configurations
-per program instead.  ``--planning`` doubles the configuration set by
-running every sampled configuration once with memory planning forced on
-and once forced off — a planner bug then shows up as a plan-on divergence
-against the same oracle value.  ``--call-boundary`` adds, for every sampled
+per program instead.  ``--call-boundary`` adds, for every sampled
 configuration, one run per input presentation (strided view, Fortran order,
 float32, shuffled keywords), each compared with the plain call.
 ``--wrt-subset`` follows every ``grad`` and ``vmap_grad`` configuration of a
@@ -87,16 +84,6 @@ def sample_configs(rng: random.Random) -> list[Config]:
     return unique
 
 
-def with_planning_dimension(configs: list[Config]) -> list[Config]:
-    """Duplicate every configuration with memory planning forced on and
-    forced off (the ``--planning`` differential dimension)."""
-    expanded = []
-    for config in configs:
-        expanded.append(dataclasses.replace(config, planning=True))
-        expanded.append(dataclasses.replace(config, planning=False))
-    return expanded
-
-
 def with_call_boundary_dimension(configs: list[Config]) -> list[Config]:
     """Follow every configuration with one copy per input presentation (the
     ``--call-boundary`` differential dimension)."""
@@ -155,9 +142,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="generator seed (fully determines the run)")
     parser.add_argument("--full-matrix", action="store_true",
                         help="run all 32 configurations per program")
-    parser.add_argument("--planning", action="store_true",
-                        help="run every configuration with memory planning "
-                             "forced on AND forced off")
     parser.add_argument("--call-boundary", action="store_true",
                         help="re-run every configuration with its inputs "
                              "strided, Fortran-ordered, as float32 and by "
@@ -188,8 +172,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             configs = matrix
         else:
             configs = sample_configs(random.Random(args.seed * 7 + index))
-        if args.planning:
-            configs = with_planning_dimension(configs)
         if args.call_boundary:
             configs = with_call_boundary_dimension(configs)
         if args.wrt_subset:
@@ -235,8 +217,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     extra = {}
     if shrunk_info:
         extra["shrunk"] = shrunk_info
-    if args.planning:
-        extra["planning_dimension"] = True
     if args.call_boundary:
         extra["call_boundary_dimension"] = True
     if args.wrt_subset:

@@ -53,21 +53,19 @@ def default_corpus_dir() -> Path:
 
 def parse_config(label: str) -> Config:
     """Inverse of :meth:`Config.label` (``"O3/grad/numpy"``, optionally
-    followed by a ``plan-on``/``plan-off``, a ``call-<presentation>`` and a
-    ``wrt-<name>+<name>...`` segment)."""
+    followed by a ``call-<presentation>`` and a ``wrt-<name>+<name>...``
+    segment)."""
     tier, mode, backend, *extra = label.split("/")
-    planning = presentation = wrt = None
+    presentation = wrt = None
     call_segments = {f"call-{name}": name for name in PRESENTATIONS}
     for segment in extra:
-        if segment in ("plan-on", "plan-off") and planning is None:
-            planning = segment == "plan-on"
-        elif segment in call_segments and presentation is None:
+        if segment in call_segments and presentation is None:
             presentation = call_segments[segment]
         elif segment.startswith("wrt-") and len(segment) > 4 and wrt is None:
             wrt = tuple(segment[4:].split("+"))
         else:
             raise ValueError(f"Unknown segment {segment!r} in config {label!r}")
-    return Config(tier, mode, backend, planning, presentation, wrt)
+    return Config(tier, mode, backend, presentation, wrt)
 
 
 @dataclass

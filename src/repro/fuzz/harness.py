@@ -5,15 +5,14 @@ A configuration is one point of the matrix
 
     {O0, O1, O2, O3} x {forward, grad, vmap, vmap_grad} x {numpy, cython}
 
-optionally crossed with the memory-planning knob (``--planning`` duplicates
-every configuration with planning forced on and forced off, so a buffer-reuse
-bug shows up as a plan-on/plan-off divergence against the same oracle) and
-with the call boundary (``--call-boundary`` re-runs every configuration with
-its inputs in each of :data:`PRESENTATIONS` and compares with the plain call
-of the same compiled program on the same values) and with the requested
-gradients (``--wrt-subset`` re-runs every ``grad``/``vmap_grad``
-configuration differentiating only a seeded strict subset of the array
-arguments, against the oracle's gradient for the same ``argnums``).
+optionally crossed with the call boundary (``--call-boundary`` re-runs every
+configuration with its inputs in each of :data:`PRESENTATIONS` and compares
+with the plain call of the same compiled program on the same values) and
+with the requested gradients (``--wrt-subset`` re-runs every
+``grad``/``vmap_grad`` configuration differentiating only a seeded strict
+subset of the array arguments, against the oracle's gradient for the same
+``argnums``).  Memory planning runs at O1–O3 and not at O0, so every
+campaign also checks it.
 
 For each configuration the program is compiled through the real pipeline
 (:func:`repro.pipeline.compile_forward`, :class:`~repro.autodiff.api.
@@ -84,8 +83,6 @@ except ImportError:  # pragma: no cover
 class Config:
     """One point of the differential matrix.
 
-    ``planning`` forces the memory-planning pass on (``True``) or off
-    (``False``); ``None`` keeps the tier's default (on at O2+).
     ``presentation`` names one of :data:`PRESENTATIONS`; such a configuration
     is checked against its own plain call, not against the oracle.
     ``wrt`` names the arrays a gradient mode differentiates; ``None`` means
@@ -95,14 +92,11 @@ class Config:
     tier: str
     mode: str
     backend: str
-    planning: Optional[bool] = None
     presentation: Optional[str] = None
     wrt: Optional[tuple[str, ...]] = None
 
     def label(self) -> str:
         label = f"{self.tier}/{self.mode}/{self.backend}"
-        if self.planning is not None:
-            label += "/plan-on" if self.planning else "/plan-off"
         if self.presentation is not None:
             label += f"/call-{self.presentation}"
         if self.wrt is not None:
@@ -341,7 +335,6 @@ class DifferentialRunner:
             "optimize": config.tier,
             "cache": self.cache,
             "backend": config.backend if config.backend != "numpy" else None,
-            "memory_planning": config.planning,
         }
         if config.mode == "forward":
             outcome = compile_forward(self.sdfg, **options)

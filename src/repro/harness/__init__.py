@@ -12,6 +12,7 @@ from repro.harness.runners import (
     copy_data,
     dace_gradient_runner,
     jaxlike_gradient_runner,
+    peak_bytes,
     run_kernel_comparison,
 )
 from repro.harness.report import (
@@ -34,6 +35,7 @@ __all__ = [
     "copy_data",
     "dace_gradient_runner",
     "jaxlike_gradient_runner",
+    "peak_bytes",
     "run_kernel_comparison",
     "format_pipeline_report",
     "format_table",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,6 +19,21 @@ def copy_data(data: dict) -> dict:
     so one dataset can feed repeated runs of in-place-mutating programs."""
     return {k: (np.array(v, copy=True) if isinstance(v, np.ndarray) else v)
             for k, v in data.items()}
+
+
+def peak_bytes(call: Callable[..., object], data: dict) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during one ``call(**args)``
+    on a fresh copy of ``data``: outputs and temporaries, not the inputs
+    (copied before tracing starts).  NumPy buffers are tracked; C ``malloc``
+    inside native segments is not."""
+    args = copy_data(data)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(**args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dace_gradient_runner(spec: KernelSpec, preset: str = "S",

@@ -4,8 +4,6 @@
   recomputation cost model of the ILP checkpointing formulation (Section IV-A:
   "we use the number of floating point operations to estimate the
   recomputation cost").
-* :mod:`repro.passes.memory` - container sizes and footprint summaries used by
-  the memory-measurement sequence.
 * :mod:`repro.passes.simplification` - dead code elimination and
   constant-condition pruning (the paper's pre-AD cleanup of configuration
   control flow), the ``optimize="O1"`` tier.
@@ -17,7 +15,7 @@
   (``optimize="O2"``).
 * :mod:`repro.passes.planning` - liveness-driven memory planning: coloring
   non-overlapping transient live ranges into shared buffers, with in-place
-  map execution (``optimize="O2"``, docs/memory-planning.md).
+  map execution (every tier but ``optimize="O0"``, docs/memory-planning.md).
 * :mod:`repro.passes.fusion` - map fusion: inlining element-wise producers
   into their sole consumer, eliminating materialised intermediate arrays
   (``optimize="O2"``); with a cost model also across distinct stencil
@@ -46,12 +44,6 @@ from repro.passes.fusion import fuse_elementwise_maps
 from repro.ir.usage import is_identity_elementwise_write
 from repro.passes.gvn import GVNResult, dedupe_connectors, global_value_numbering
 from repro.passes.liveness import compute_liveness, top_level_uses
-from repro.passes.memory import (
-    container_size_bytes,
-    total_argument_bytes,
-    total_transient_bytes,
-    transient_footprint,
-)
 from repro.passes.planning import MemoryPlan, apply_memory_plan, plan_memory
 from repro.passes.simplification import eliminate_dead_code, prune_constant_branches
 
@@ -64,10 +56,6 @@ __all__ = [
     "count_state_flops",
     "count_sdfg_flops",
     "expr_op_count",
-    "container_size_bytes",
-    "transient_footprint",
-    "total_argument_bytes",
-    "total_transient_bytes",
     "dedupe_connectors",
     "eliminate_dead_code",
     "fuse_elementwise_maps",

@@ -9,7 +9,7 @@ ones:
 
 * **strict reuse** — a guest whose interval starts strictly after a buffer's
   last use is renamed into that buffer;
-* **in-place reuse** (``allow_inplace``) — a guest whose defining node is an
+* **in-place reuse** — a guest whose defining node is an
   identity element-wise map reading the buffer's current occupant at exactly
   the output index (``t2[k] = f(t1[k], ...)``) may overwrite the occupant
   *while* reading it: per element, the read happens before the write (NumPy
@@ -19,10 +19,11 @@ ones:
 
 Planning is *size-aware*, not equal-shape-only: a guest fits a buffer when
 dtypes match, ranks match and every host dimension is **provably** at least
-the guest dimension — proven over the symbolic shapes in affine form
-(``N - 3 <= N - 1`` holds for every ``N``; anything the affine prover cannot
-decide does not fit).  When a guest is renamed into a larger buffer, its
-whole-container memlets (``subset=None``) are first given an explicit
+the guest dimension — proven over the symbolic shapes by
+:func:`repro.symbolic.affine.window_fits`, the bounds proof fusion and
+stencil hoisting use (``N - 3 <= N - 1`` holds for every ``N``; anything it
+cannot decide does not fit).  When a guest is renamed into a larger buffer,
+its whole-container memlets (``subset=None``) are first given an explicit
 full-guest-shape subset so both code generators keep reading/writing the
 guest's window of the shared buffer rather than the buffer's full extent.
 
@@ -47,72 +48,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.ir.control_flow import ConditionalRegion
-from repro.ir.nodes import MapCompute
 from repro.ir.subsets import Subset
 from repro.ir.usage import is_identity_elementwise_write
 from repro.passes.liveness import Interval, LivenessInfo, compute_liveness
-from repro.symbolic import BinOp, Const, Expr, Sym, UnOp, as_expr
+from repro.symbolic.affine import window_fits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ir.sdfg import SDFG
-
-
-# --------------------------------------------------------------- affine prover
-def _affine_form(value) -> Optional[tuple[dict[str, float], float]]:
-    """``value`` as ``({symbol: coeff}, constant)``, or ``None`` when the
-    expression is not affine (divisions, symbol*symbol products, ...)."""
-    expr = as_expr(value)
-    if isinstance(expr, Const):
-        if isinstance(expr.value, (int, float)):
-            return {}, float(expr.value)
-        return None
-    if isinstance(expr, Sym):
-        return {expr.name: 1.0}, 0.0
-    if isinstance(expr, UnOp) and expr.op == "-":
-        inner = _affine_form(expr.operand)
-        if inner is None:
-            return None
-        coeffs, const = inner
-        return {k: -v for k, v in coeffs.items()}, -const
-    if isinstance(expr, BinOp) and expr.op in ("+", "-"):
-        left = _affine_form(expr.left)
-        right = _affine_form(expr.right)
-        if left is None or right is None:
-            return None
-        sign = 1.0 if expr.op == "+" else -1.0
-        coeffs = dict(left[0])
-        for name, coeff in right[0].items():
-            coeffs[name] = coeffs.get(name, 0.0) + sign * coeff
-        return coeffs, left[1] + sign * right[1]
-    if isinstance(expr, BinOp) and expr.op == "*":
-        left = _affine_form(expr.left)
-        right = _affine_form(expr.right)
-        if left is None or right is None:
-            return None
-        for scalar, other in ((left, right), (right, left)):
-            if not scalar[0]:  # a pure constant factor
-                factor = scalar[1]
-                return (
-                    {k: v * factor for k, v in other[0].items()},
-                    other[1] * factor,
-                )
-        return None
-    return None
-
-
-def provably_ge(a, b) -> bool:
-    """True when ``a >= b`` holds for *every* symbol assignment — i.e. the
-    difference is affine with all symbol coefficients zero and a
-    non-negative constant."""
-    fa, fb = _affine_form(a), _affine_form(b)
-    if fa is None or fb is None:
-        return False
-    coeffs = dict(fa[0])
-    for name, coeff in fb[0].items():
-        coeffs[name] = coeffs.get(name, 0.0) - coeff
-    if any(abs(c) > 1e-12 for c in coeffs.values()):
-        return False
-    return fa[1] - fb[1] >= -1e-12
 
 
 # ------------------------------------------------------------------- the plan
@@ -191,9 +133,7 @@ def _fits(host_desc, guest_desc) -> bool:
     guest_shape = guest_desc.shape_exprs()
     if len(host_shape) != len(guest_shape):
         return False
-    return all(
-        provably_ge(h, g) for h, g in zip(host_shape, guest_shape)
-    )
+    return all(window_fits(h, g) for h, g in zip(host_shape, guest_shape))
 
 
 def _inplace_safe(sdfg: "SDFG", guest: str, members: list[str],
@@ -228,7 +168,6 @@ def plan_memory(
     sdfg: "SDFG",
     protect: Iterable[str] = (),
     symbol_values: Optional[Mapping[str, object]] = None,
-    allow_inplace: bool = True,
     default_symbol_value: int = 1024,
 ) -> MemoryPlan:
     """Color non-overlapping transient live ranges into shared buffers.
@@ -264,8 +203,7 @@ def plan_memory(
             if buf.end < interval.start:
                 inplace = False
             elif (
-                allow_inplace
-                and buf.end == interval.start
+                buf.end == interval.start
                 and not buf.end_extended
                 and not interval.extended
                 and _inplace_safe(sdfg, name, buf.members, info)
@@ -369,5 +307,4 @@ __all__ = [
     "MemoryPlan",
     "apply_memory_plan",
     "plan_memory",
-    "provably_ge",
 ]

@@ -8,7 +8,8 @@ a pass context and a cache key:
 
 * ``optimize="O1"`` (default) runs the paper's pre-AD cleanup — constant
   branch pruning followed by dead code elimination — before differentiation
-  and code generation; ``"O0"`` compiles the program as written; ``"O2"``
+  and liveness-driven buffer reuse after it; ``"O0"`` compiles the program
+  as written; ``"O2"``
   additionally merges duplicate element-wise maps (global value numbering)
   and fuses producer/consumer maps so intermediate transients are never
   materialised; ``"O3"`` makes fusion cost-model-driven — stencil-offset
@@ -56,8 +57,8 @@ from repro.pipeline.stages import (
 #: the recompute-vs-traffic model pays, and gradient compiles decline
 #: fusions the backward pass would have to recompute — see
 #: repro/passes/cost.py and docs/cost-model.md).  All levels run before AD,
-#: so gradients are generated from the optimised forward SDFG.  At O2+ the
-#: pipeline also appends liveness-driven memory planning *after* AD (see
+#: so gradients are generated from the optimised forward SDFG.  Every tier
+#: but O0 also appends liveness-driven memory planning *after* AD (see
 #: docs/memory-planning.md).  See docs/optimization-levels.md.
 OPT_LEVELS: dict[str, tuple] = {
     "O0": (),
@@ -108,7 +109,6 @@ def build_pipeline(
     result_names: Optional[list[str]] = None,
     extra_passes: Sequence = (),
     backend: Optional[str] = None,
-    memory_planning: Optional[bool] = None,
 ) -> PassManager:
     """Assemble the default pipeline for one compilation request.
 
@@ -117,10 +117,8 @@ def build_pipeline(
     selects the code generator (``None`` = numpy) — it configures both the
     terminal codegen stage and, at ``"O3"``, the cost model that prices
     fusions (native loops make recompute far cheaper; see docs/backends.md).
-    ``memory_planning`` forces the liveness-driven buffer-reuse stage on or
-    off regardless of tier; the default ``None`` enables it at O2+.  The
-    stage runs after AD (gradient containers protected) and immediately
-    before codegen, and its knobs are part of the pipeline fingerprint.
+    Every tier but ``"O0"`` runs liveness-driven buffer reuse after AD
+    (gradient containers protected), immediately before codegen.
     """
     if optimize not in OPT_LEVELS:
         raise PipelineError(
@@ -148,11 +146,7 @@ def build_pipeline(
     if gradient:
         passes.append(CheckpointingSelection(checkpointing))
         passes.append(Autodiff(output=output, inputs=wrt))
-    plan_memory = (
-        memory_planning if memory_planning is not None
-        else optimize in ("O2", "O3")
-    )
-    if plan_memory:
+    if optimize != "O0":
         passes.append(MemoryPlanning(extra_keep=tuple(keep)))
     passes.append(
         Codegen(
@@ -276,7 +270,6 @@ class CompileOptions:
 
     optimize: str = "O1"
     backend: Optional[str] = None
-    memory_planning: Optional[bool] = None
     checkpointing: Any = None
     wrt: Union[str, Sequence[str], None] = None
     output: Optional[str] = None
@@ -360,7 +353,6 @@ def compile_request(program, options: CompileOptions, gradient: bool) -> Compile
         result_names=result_names,
         extra_passes=options.extra_passes,
         backend=options.backend,
-        memory_planning=options.memory_planning,
     )
     ctx = PassContext(
         symbol_values=dict(options.symbol_values),

@@ -12,7 +12,7 @@ frontend-to-binary flow is one ordered pipeline:
   both the forward and the generated backward pass benefit;
 * :class:`MemoryPlanning` — liveness-driven buffer reuse for transients,
   run *after* AD (gradient containers protected) and just before codegen,
-  at O2+ by default;
+  at every tier but O0;
 * :class:`CheckpointingSelection` — resolves the user's checkpointing spec
   (strategy instance or name) into the strategy the AD stage consumes;
 * :class:`Autodiff` — reverse-mode differentiation
@@ -110,16 +110,13 @@ class MemoryPlanning(Pass):
     returned) are derived from ``ctx.artifacts["backward"]`` and protected,
     on top of ``extra_keep`` and the return container.  Footprint counters
     (``planned_reuse``, ``peak_bytes_before``/``after``, ...) land in the
-    pipeline report; ``allow_inplace`` is part of the cache fingerprint.
+    pipeline report.
     """
 
     name = "memory-planning"
 
-    def __init__(
-        self, extra_keep: Sequence[str] = (), allow_inplace: bool = True
-    ) -> None:
+    def __init__(self, extra_keep: Sequence[str] = ()) -> None:
         self.extra_keep = tuple(extra_keep)
-        self.allow_inplace = allow_inplace
 
     def apply(self, sdfg: SDFG, ctx: PassContext) -> SDFG:
         from repro.passes.planning import apply_memory_plan, plan_memory
@@ -133,12 +130,7 @@ class MemoryPlanning(Pass):
             }
             if backward.output in sdfg.arrays:
                 protect.add(backward.output)
-        plan = plan_memory(
-            sdfg,
-            protect=protect,
-            symbol_values=ctx.symbol_values,
-            allow_inplace=self.allow_inplace,
-        )
+        plan = plan_memory(sdfg, protect=protect, symbol_values=ctx.symbol_values)
         reused = apply_memory_plan(sdfg, plan)
         ctx.note("planned_reuse", reused)
         ctx.note("buffers_shared",
@@ -151,7 +143,7 @@ class MemoryPlanning(Pass):
         return sdfg
 
     def fingerprint(self) -> tuple:
-        return (self.name, self.extra_keep, self.allow_inplace)
+        return (self.name, self.extra_keep)
 
 
 class MapFusion(Pass):

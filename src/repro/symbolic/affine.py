@@ -105,9 +105,10 @@ def window_fits(limit, stop, offset: int = 0) -> bool:
     hoisting in code generation (:mod:`repro.codegen.stencil`) decide bounds
     through this predicate, so what fusion prices as a single union-window
     evaluation is exactly what codegen emits — the two can no longer run
-    drifting proofs.  Returns ``False`` whenever the slack is not provably
-    non-negative (:func:`provable_constant`); callers must then stay
-    conservative (don't fuse / don't hoist).
+    drifting proofs.  Memory planning proves with it that a guest dimension
+    fits its host's (``offset=0``).  Returns ``False`` whenever the slack is
+    not provably non-negative (:func:`provable_constant`); callers must then
+    stay conservative (don't fuse / don't hoist / don't share).
     """
     from repro.symbolic.simplify import simplify
 
@@ -130,6 +131,37 @@ def _add(a: dict[str, Expr], b: dict[str, Expr], sign: int = 1) -> dict[str, Exp
         else:
             out[key] = term
     return out
+
+
+def _floor_divide(terms: dict[str, Expr], divisor: Expr) -> Optional[dict[str, Expr]]:
+    """``floor((sum c_v * v + c0) / d)`` as an affine form — exact only when
+    every variable coefficient is an integer multiple of the constant ``d``
+    (then ``sum (c_v / d) * v`` is an integer and the floor applies to
+    ``c0 / d`` alone).  ``(N + 1) // 2`` is not affine in ``N``."""
+    from repro.symbolic.simplify import simplify
+
+    d = simplify(divisor)
+    if not _is_integer(d) or d.value == 0:
+        return None
+    out: dict[str, Expr] = {}
+    for key, coeff in terms.items():
+        if key == "":
+            out[key] = BinOp("//", coeff, d)
+            continue
+        c = simplify(coeff)
+        if not _is_integer(c) or c.value % d.value != 0:
+            return None
+        out[key] = Const(c.value // d.value)
+    return out
+
+
+def _is_integer(expr: Expr) -> bool:
+    return (
+        isinstance(expr, Const)
+        and not isinstance(expr.value, bool)
+        and isinstance(expr.value, (int, float))
+        and float(expr.value).is_integer()
+    )
 
 
 def _affine(expr, var_set: set[str]) -> Optional[dict[str, Expr]]:
@@ -173,6 +205,8 @@ def _affine(expr, var_set: set[str]) -> Optional[dict[str, Expr]]:
             if set(right) - {""}:
                 return None  # division by a variable-dependent term
             divisor = right.get("", Const(1))
+            if expr.op == "//" and set(left) - {""}:
+                return _floor_divide(left, divisor)
             return {key: BinOp(expr.op, coeff, divisor) for key, coeff in left.items()}
         return None
     if isinstance(expr, (Call, Compare)):

@@ -38,7 +38,6 @@ def _program():
 FIELD_VALUES = {
     "optimize": "O2",
     "backend": "numpy",
-    "memory_planning": True,
     "checkpointing": "recompute_all",
     "wrt": "A",
     "output": "__return",
@@ -84,7 +83,7 @@ class TestEveryAdapterTakesEveryField:
         assert repro.value_and_grad(f, cache=cache)(X.copy())[0] == pytest.approx(value)
         assert cache.stats.lookups == 1
         np.testing.assert_allclose(repro.grad(f, symbol_values={"N": 4})(X.copy()), gradient)
-        assert f.compile("O2", memory_planning=False)(X.copy()) == pytest.approx(value)
+        assert f.compile("O2")(X.copy()) == pytest.approx(value)
         f.compile(cache=cache)
         assert cache.stats.lookups == 2
         batched = repro.vmap(f).compile(symbol_values={"N": 4})
@@ -108,7 +107,7 @@ class TestEveryAdapterTakesEveryField:
 
     @pytest.mark.parametrize("adapter", ADAPTERS)
     def test_unknown_keyword_lists_the_valid_ones(self, adapter):
-        with pytest.raises(TypeError, match="no_such_knob.*memory_planning"):
+        with pytest.raises(TypeError, match="no_such_knob.*checkpointing"):
             ADAPTERS[adapter][0](no_such_knob=1)
 
     def test_strategy_is_the_alias_of_checkpointing_on_the_ad_api(self):
@@ -136,7 +135,7 @@ class TestCompileOptions:
             options.optimize = "O0"
 
     def test_vmap_of_grad_replays_the_request_plus_its_pass(self):
-        df = repro.grad(_program(), wrt="A", optimize="O2", memory_planning=False)
+        df = repro.grad(_program(), wrt="A", optimize="O2")
         batched = repro.vmap(df)
         assert not hasattr(df, "compile_spec")
         assert [p.name for p in batched.options.extra_passes] == ["vmap"]

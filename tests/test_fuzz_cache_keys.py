@@ -91,24 +91,20 @@ def test_different_programs_never_share_keys():
 
 
 @pytest.mark.parametrize("tier", ["O0", "O1", "O2", "O3"])
-def test_planning_knob_never_collides_fingerprints(tier):
-    """The ``--planning`` fuzz dimension flips ``memory_planning`` on/off per
-    configuration; wherever that changes the pipeline, the fingerprint must
-    change with it (plan-on at O2+ *is* the default, so those two legally
-    share a key — serving the default artifact for an explicit plan-on
-    request is correct, not a collision)."""
-    default = build_pipeline(tier).fingerprint()
-    on = build_pipeline(tier, memory_planning=True).fingerprint()
-    off = build_pipeline(tier, memory_planning=False).fingerprint()
-    assert on != off
-    if tier in ("O2", "O3"):
-        assert default == on  # planning is the tier default
-    else:
-        assert default == off
-    # The gradient pipelines make the same distinction.
-    grad_on = build_pipeline(
-        tier, gradient=True, wrt=["A"], memory_planning=True).fingerprint()
-    grad_off = build_pipeline(
-        tier, gradient=True, wrt=["A"], memory_planning=False).fingerprint()
-    assert grad_on != grad_off
-    assert grad_on != on
+def test_tier_fingerprints_never_collide(tier):
+    """Memory planning belongs to every tier but ``O0`` rather than to an
+    option, so the tier alone fixes the pipeline: each tier's forward and
+    gradient pipelines differ from every other tier's and from each other,
+    and only the optimizing tiers carry the planning stage."""
+    others = [other for other in ("O0", "O1", "O2", "O3") if other != tier]
+    for gradient in (False, True):
+        wrt = ["A"] if gradient else None
+        manager = build_pipeline(tier, gradient=gradient, wrt=wrt)
+        names = [p.name for p in manager.passes]
+        assert ("memory-planning" in names) == (tier != "O0")
+        assert names[-1] == "codegen"
+        for other in others:
+            assert manager.fingerprint() != build_pipeline(
+                other, gradient=gradient, wrt=wrt).fingerprint()
+    assert build_pipeline(tier).fingerprint() != build_pipeline(
+        tier, gradient=True, wrt=["A"]).fingerprint()

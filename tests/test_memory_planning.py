@@ -1,6 +1,6 @@
 """Liveness analysis, memory planning and global value numbering.
 
-Three layers of coverage for the ``O2``+ storage optimisations:
+Three layers of coverage for the storage optimisations:
 
 * **unit tests** for liveness (interval construction, loop widening,
   loop-carried values), the planner's coloring/eligibility/in-place rules and
@@ -31,11 +31,11 @@ from repro.passes import (
     global_value_numbering,
     plan_memory,
     top_level_uses,
-    total_transient_bytes,
 )
-from repro.passes.planning import apply_memory_plan, provably_ge
-from repro.pipeline import compile_forward
+from repro.passes.planning import apply_memory_plan
+from repro.pipeline import build_pipeline, compile_forward
 from repro.symbolic import Sym, parse_expr
+from repro.symbolic.affine import window_fits
 
 N = repro.symbol("N")
 M = repro.symbol("M")
@@ -144,10 +144,19 @@ class TestMemoryPlanning:
 
     def test_shrinking_shapes_fit_earlier_buffers(self):
         # The chain's shapes are all distinct (N-1, N-2, ...): reuse relies
-        # on the affine prover, not shape equality.
-        assert provably_ge(N - 1, N - 3)
-        assert not provably_ge(N - 3, N - 1)
-        assert not provably_ge(N, M)
+        # on the shared affine bounds proof, not shape equality.
+        assert window_fits(N - 1, N - 3)
+        assert not window_fits(N - 3, N - 1)
+        assert not window_fits(N, M)
+
+    def test_floor_divided_shapes_are_not_affine(self):
+        # ``N // 2`` would not fit an ``N // 3`` host.  Floor division by a
+        # constant that does not divide the symbol's coefficient has no
+        # affine form, so neither direction is proven and neither fits.
+        half, third = parse_expr("N // 2"), parse_expr("N // 3")
+        assert not window_fits(third, half)
+        assert not window_fits(half, third)
+        assert window_fits(parse_expr("(2 * N + 3) // 2"), N)
 
     def test_protected_containers_keep_their_storage(self):
         @repro.program
@@ -221,27 +230,22 @@ class TestMemoryPlanning:
         assert plan.assignments.get("v") != "u"
         assert "v" not in plan.inplace_guests
 
-    def test_inplace_can_be_disabled(self):
-        @repro.program
-        def ident(A: repro.float64[N]):
-            u = A * 2.0
-            v = u + 1.0
-            return np.sum(v)
-
-        plan = plan_memory(ident.to_sdfg(), allow_inplace=False)
-        assert "v" not in plan.assignments
-
     def test_apply_rewrites_and_drops_guests(self):
         spec = get_kernel("smooth_chain")
         sdfg = spec.program_for("S").to_sdfg()
-        before = total_transient_bytes(sdfg, {"N": 32})
+        before = _transient_bytes(sdfg, {"N": 32})
         plan = plan_memory(sdfg, symbol_values={"N": 32})
         applied = apply_memory_plan(sdfg, plan)
         assert applied == plan.planned_reuse
         for guest in plan.assignments:
             assert guest not in sdfg.arrays
-        after = total_transient_bytes(sdfg, {"N": 32})
+        after = _transient_bytes(sdfg, {"N": 32})
         assert after < before * 0.5
+
+
+def _transient_bytes(sdfg, symbol_values):
+    return sum(desc.size_bytes(symbol_values)
+               for desc in sdfg.arrays.values() if desc.transient)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +491,7 @@ class TestPlanningPipeline:
     def test_smooth_chain_report_counters(self):
         spec = get_kernel("smooth_chain")
         program = spec.program_for("S")
-        on = compile_forward(program, "O2", cache=False, memory_planning=True)
+        on = compile_forward(program, "O2", cache=False)
         record = on.report.record_for("memory-planning")
         assert record is not None
         info = record.info
@@ -502,36 +506,44 @@ class TestPlanningPipeline:
         data = spec.data("S")
         ref = compile_forward(program, "O0", cache=False).compiled(
             **{k: np.array(v, copy=True) for k, v in data.items()})
-        on = compile_forward(program, "O2", cache=False, memory_planning=True)
+        on = compile_forward(program, "O2", cache=False)
         val = on.compiled(**{k: np.array(v, copy=True) for k, v in data.items()})
         np.testing.assert_allclose(val, ref, rtol=1e-9)
 
     def test_planning_off_keeps_all_transients(self):
         spec = get_kernel("smooth_chain")
         program = spec.program_for("S")
-        off = compile_forward(program, "O2", cache=False, memory_planning=False)
+        off = compile_forward(program, "O0", cache=False)
         assert off.report.record_for("memory-planning") is None
         for name in ("u1", "u4", "u7"):
             assert f"{name} = np.empty" in off.compiled.source
 
-    def test_planning_default_on_at_o2_off_at_o1(self):
-        spec = get_kernel("smooth_chain")
-        program = spec.program_for("S")
-        o2 = compile_forward(program, "O2", cache=False)
-        assert o2.report.record_for("memory-planning") is not None
-        o1 = compile_forward(program, "O1", cache=False)
-        assert o1.report.record_for("memory-planning") is None
+    @pytest.mark.parametrize("level", ["O0", "O1", "O2", "O3"])
+    def test_planning_runs_at_every_tier_but_o0(self, level):
+        # Planning is part of every optimizing tier, not a knob: O0 is the
+        # as-written reference, and each tier is its own pipeline.
+        program = get_kernel("smooth_chain").program_for("S")
+        record = compile_forward(program, level, cache=False).report.record_for(
+            "memory-planning")
+        assert (record is None) == (level == "O0")
+        fingerprints = {build_pipeline(level).fingerprint()
+                        for level in ("O0", "O1", "O2", "O3")}
+        assert len(fingerprints) == 4
 
-    def test_forced_planning_at_o0_works(self):
-        spec = get_kernel("smooth_chain")
+    @pytest.mark.parametrize("kernel", ["smooth_chain", "bias_act", "jacobi1d"])
+    @pytest.mark.parametrize("level", ["O1", "O2", "O3"])
+    def test_planned_tiers_match_o0(self, level, kernel):
+        spec = get_kernel(kernel)
         program = spec.program_for("S")
         data = spec.data("S")
-        ref = compile_forward(program, "O0", cache=False).compiled(
-            **{k: np.array(v, copy=True) for k, v in data.items()})
-        on = compile_forward(program, "O0", cache=False, memory_planning=True)
-        assert on.report.record_for("memory-planning") is not None
-        val = on.compiled(**{k: np.array(v, copy=True) for k, v in data.items()})
-        np.testing.assert_allclose(val, ref, rtol=1e-12)
+        ref_args = {k: np.array(v, copy=True) for k, v in data.items()}
+        opt_args = {k: np.array(v, copy=True) for k, v in data.items()}
+        ref = compile_forward(program, "O0", cache=False).compiled(**ref_args)
+        outcome = compile_forward(program, level, cache=False)
+        assert outcome.report.record_for("memory-planning") is not None
+        np.testing.assert_allclose(outcome.compiled(**opt_args), ref, rtol=1e-9)
+        for name in ref_args:  # in-place updates of the arguments agree too
+            np.testing.assert_allclose(opt_args[name], ref_args[name], rtol=1e-9)
 
     def test_gradient_pipeline_with_planning_matches_o0(self):
         spec = get_kernel("bias_act")
@@ -556,6 +568,5 @@ class TestPlanningPipeline:
         data = spec.data("S")
         copy = lambda: {k: np.array(v, copy=True) for k, v in data.items()}
         ref = compile_forward(program, "O0", cache=False).compiled(**copy())
-        native = compile_forward(
-            program, "O2", cache=False, backend="cython", memory_planning=True)
+        native = compile_forward(program, "O2", cache=False, backend="cython")
         np.testing.assert_allclose(native.compiled(**copy()), ref, rtol=1e-9)

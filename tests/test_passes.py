@@ -8,8 +8,6 @@ from repro.passes import (
     count_sdfg_flops,
     eliminate_dead_code,
     prune_constant_branches,
-    total_argument_bytes,
-    transient_footprint,
 )
 from repro.symbolic import Sym, evaluate
 
@@ -68,7 +66,8 @@ class TestMemoryFootprint:
             return np.sum(A)
 
         sdfg = f.to_sdfg()
-        total = total_argument_bytes(sdfg, {"N": 10, "M": 4})
+        total = sum(desc.size_bytes({"N": 10, "M": 4})
+                    for desc in sdfg.arrays.values() if not desc.transient)
         assert total == 10 * 4 * 8 + 10 * 4
 
     def test_transient_footprint_contains_temporaries(self):
@@ -78,8 +77,9 @@ class TestMemoryFootprint:
             return np.sum(B)
 
         sdfg = f.to_sdfg()
-        footprint = transient_footprint(sdfg, {"N": 8})
-        assert any(size == 8 * 8 * 8 for size in footprint.values())
+        footprint = [desc.size_bytes({"N": 8})
+                     for desc in sdfg.arrays.values() if desc.transient]
+        assert 8 * 8 * 8 in footprint
 
 
 class TestSimplification:

@@ -56,6 +56,7 @@ class TestPassManagerInstrumentation:
         assert names == [
             "prune-constant-branches",
             "dead-code-elimination",
+            "memory-planning",
             "codegen",
         ]
         assert all(record.seconds >= 0.0 for record in report.records)

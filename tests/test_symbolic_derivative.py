@@ -186,8 +186,14 @@ class TestAffine:
         assert is_affine_in(parse_expr("np.floor(N / 2) + i"), ["i"])
 
     def test_negation_and_division(self):
-        coeffs = affine_coefficients(parse_expr("-(i) + j // 2"), ["i", "j"])
+        coeffs = affine_coefficients(parse_expr("-(i) + (2 * j + 1) // 2"), ["i", "j"])
         assert evaluate(coeffs["i"], {}) == -1
+        assert evaluate(coeffs["j"], {}) == 1
+        assert evaluate(coeffs[""], {}) == 0
+        # floor(j / 2) has no affine form in j (neither 0 nor 1/2 is a
+        # coefficient); true division does.
+        assert affine_coefficients(parse_expr("j // 2"), ["j"]) is None
+        assert evaluate(affine_coefficients(parse_expr("j / 2"), ["j"])["j"], {}) == 0.5
 
     @settings(max_examples=30, deadline=None)
     @given(a=st.integers(-5, 5), b=st.integers(-5, 5), c=st.integers(-5, 5),
