@@ -10,8 +10,8 @@ Rules are looked up in :data:`BATCHING_RULES`; kinds without an entry raise
 :class:`~repro.util.errors.UnsupportedFeatureError` with a message naming
 the kind, so unsupported programs fail loudly at transform time instead of
 producing wrong batched results.  New rules register with
-:func:`register_batching_rule` — the same extension pattern as
-:func:`repro.pipeline.register_pass`::
+:func:`register_batching_rule`, keyed by the library-node kind they
+rewrite::
 
     @register_batching_rule("mykind")
     def _batch_mykind(ctx: LibraryBatchContext) -> None:

@@ -10,8 +10,8 @@ Two ways to batch a program, both backed by the same IR transform
   ``vmap(repro.grad(f))`` is also supported: the gradient function is
   recompiled with the batching pass inserted *before* the AD stage, which
   for per-sample-independent programs is the same function.
-* :class:`Vmap` — the transform as a :class:`~repro.pipeline.Pass`
-  (registered as ``"vmap"``), for explicit pipelines::
+* :class:`Vmap` — the transform as a :class:`~repro.pipeline.Pass`, for
+  explicit pipelines::
 
       repro.compile(prog, extra_passes=[Vmap(in_axes=0)], wrt="x")
 
@@ -29,7 +29,7 @@ from typing import Optional
 from repro.batching.transform import BatchInfo, InAxes, batch_sdfg
 from repro.ir import SDFG
 from repro.pipeline.cache import stable_repr, unique_token
-from repro.pipeline.pass_base import Pass, PassContext, register_pass
+from repro.pipeline.pass_base import Pass, PassContext
 
 
 class Vmap(Pass):
@@ -59,9 +59,6 @@ class Vmap(Pass):
         axes = stable_repr(self.in_axes)
         return (self.name, axes if axes is not None else unique_token(),
                 self.batch_symbol)
-
-
-register_pass(Vmap.name, Vmap)
 
 
 class BatchedProgram:

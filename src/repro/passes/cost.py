@@ -19,30 +19,29 @@ floats on demand:
   per container (write volume + read volume over all use sites, from
   :func:`repro.ir.usage.collect_uses`).
 
-Knobs (:class:`CostModelConfig`)
---------------------------------
+Per-backend knobs (:class:`CostModelConfig`)
+--------------------------------------------
 ``bytes_per_flop``
     How many bytes of memory traffic one modelled FLOP is worth.  For the
-    NumPy backend the default is ``24.0``: every scalar operation in a
-    vectorised statement streams two operand arrays in and one temporary out
-    (3 × 8 bytes per element), so "recomputing" is never free.  A compiled
-    backend that keeps values in registers would set this well below 1.
+    NumPy backend it is ``24.0``: every scalar operation in a vectorised
+    statement streams two operand arrays in and one temporary out (3 × 8
+    bytes per element), so "recomputing" is never free.  The native backend
+    keeps values in registers and sets it well below 1.
 ``assignment_passes``
     Extra full-array passes one materialised statement costs beyond its
     arithmetic (NumPy evaluates the right-hand side into a temporary, then
     copies it into the named target array): 2 passes — one read, one write.
-``default_symbol_value``
-    Fallback substituted for size symbols with no concrete value when a
-    symbolic cost must become a number.  Decisions should be insensitive to
-    it (both sides of a comparison scale with the same volumes); it exists
-    so the model never needs profiling or user input to decide.
-``backward_traffic_credit``
-    Extra container passes credited to a *gradient-mode* fusion of a
-    transient the backward pass is linear in (``backward_value_uses == 0``):
-    eliminating the transient also eliminates its adjoint container in the
-    generated backward program — one accumulating write plus one read that
-    never happen (2 passes by default).  Candidates the backward pass would
-    have to *recompute* get no credit; they pay ``gradient_flops`` instead.
+
+Constants
+---------
+:data:`DEFAULT_SYMBOL_VALUE` stands in for a size symbol no binding fixes
+(:func:`size_env`, which memory planning's footprint counters share).
+Decisions compare costs that scale with the same volumes, so they are
+largely insensitive to it; it exists so the model never needs profiling or
+user input.  :data:`BACKWARD_TRAFFIC_CREDIT` is what a *gradient-mode*
+fusion of a transient the backward pass is linear in saves: its adjoint
+container's accumulating write and read.  Candidates the backward pass
+would have to *recompute* get no credit; they pay ``gradient_flops``.
 
 :class:`FusionDecision` records every input of a fusion query so pipeline
 reports and tests can show *why* a fusion happened (or did not).
@@ -51,7 +50,7 @@ reports and tests can show *why* a fusion happened (or did not).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.ir import SDFG
 from repro.ir.dtypes import itemsize_bytes
@@ -62,24 +61,33 @@ from repro.symbolic import Const, Expr, evaluate
 from repro.symbolic.simplify import simplify
 
 
+DEFAULT_SYMBOL_VALUE = 1024
+BACKWARD_TRAFFIC_CREDIT = 2.0  # container passes (see module docstring)
+
+
+def size_env(
+    symbols: Iterable[str], symbol_values: Optional[Mapping[str, object]] = None
+) -> dict[str, object]:
+    """Values for ``symbols``: the numeric binding from ``symbol_values``
+    where there is one, :data:`DEFAULT_SYMBOL_VALUE` otherwise."""
+    env: dict[str, object] = {name: DEFAULT_SYMBOL_VALUE for name in symbols}
+    for name, value in (symbol_values or {}).items():
+        if name in env and isinstance(value, (int, float)):
+            env[name] = value
+    return env
+
+
 @dataclass(frozen=True)
 class CostModelConfig:
-    """Tunable knobs of the static cost model (see module docstring)."""
+    """Per-backend knobs of the static cost model (see module docstring)."""
 
     bytes_per_flop: float = 24.0
     assignment_passes: int = 2
-    default_symbol_value: int = 1024
-    backward_traffic_credit: float = 2.0
 
     def fingerprint(self) -> tuple:
         """Cache-key identity: any knob change must invalidate compilations
         whose pass decisions depended on it."""
-        return (
-            self.bytes_per_flop,
-            self.assignment_passes,
-            self.default_symbol_value,
-            self.backward_traffic_credit,
-        )
+        return (self.bytes_per_flop, self.assignment_passes)
 
     @classmethod
     def for_backend(cls, backend: Optional[str]) -> "CostModelConfig":
@@ -158,16 +166,11 @@ class CostModel:
 
     # -- scalarisation ----------------------------------------------------
     def evaluate(self, expr: Expr | int | float) -> float:
-        """Symbolic cost -> float, substituting ``default_symbol_value`` for
-        any size symbol without a concrete value."""
+        """Symbolic cost -> float, substituting :data:`DEFAULT_SYMBOL_VALUE`
+        for any size symbol without a concrete value."""
         if isinstance(expr, (int, float)):
             return float(expr)
-        env = {
-            name: self.config.default_symbol_value for name in expr.free_symbols()
-        }
-        for name, value in self.symbol_values.items():
-            if name in env and isinstance(value, (int, float)):
-                env[name] = value
+        env = size_env(expr.free_symbols(), self.symbol_values)
         return float(evaluate(expr, env))
 
     # -- FLOPs ------------------------------------------------------------
@@ -249,7 +252,7 @@ class CostModel:
         gradient_mode:
             True when this compilation will differentiate.  A linear
             candidate (``backward_value_uses == 0``) then earns the
-            ``backward_traffic_credit``: fusing it away also removes its
+            :data:`BACKWARD_TRAFFIC_CREDIT`: fusing it away also removes its
             adjoint container from the generated backward pass.
 
         Returns (and logs) a :class:`FusionDecision`.
@@ -296,7 +299,7 @@ class CostModel:
         # backward pass saves its accumulating write plus its read.
         backward_credit = 0.0
         if gradient_mode and backward_value_uses == 0:
-            backward_credit = config.backward_traffic_credit * volume
+            backward_credit = BACKWARD_TRAFFIC_CREDIT * volume
 
         decision = FusionDecision(
             fuse=False,

@@ -38,7 +38,7 @@ Scope and safety:
 Every merged duplicate also removes one container from the program before
 AD runs — the backward pass then stores and streams one value instead of
 two, the saved-traffic credit the cost model prices via
-``CostModelConfig.backward_traffic_credit``.
+``repro.passes.cost.BACKWARD_TRAFFIC_CREDIT``.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 from repro.ir.control_flow import ConditionalRegion
 from repro.ir.subsets import Subset
 from repro.ir.usage import is_identity_elementwise_write
+from repro.passes.cost import size_env
 from repro.passes.liveness import Interval, LivenessInfo, compute_liveness
 from repro.symbolic.affine import window_fits
 
@@ -79,22 +80,6 @@ class MemoryPlan:
     @property
     def planned_reuse(self) -> int:
         return len(self.assignments)
-
-
-def _size_env(desc, symbol_values: Optional[Mapping[str, object]],
-              default_symbol_value: int) -> dict[str, int]:
-    env = {name: default_symbol_value for name in desc.free_symbols()}
-    for name, value in (symbol_values or {}).items():
-        if name in env and isinstance(value, (int, float)):
-            env[name] = int(value)
-    return env
-
-
-def _container_bytes(sdfg: "SDFG", name: str,
-                     symbol_values: Optional[Mapping[str, object]],
-                     default_symbol_value: int) -> int:
-    desc = sdfg.arrays[name]
-    return desc.size_bytes(_size_env(desc, symbol_values, default_symbol_value))
 
 
 def _eligible(sdfg: "SDFG", name: str, info: LivenessInfo,
@@ -168,13 +153,14 @@ def plan_memory(
     sdfg: "SDFG",
     protect: Iterable[str] = (),
     symbol_values: Optional[Mapping[str, object]] = None,
-    default_symbol_value: int = 1024,
 ) -> MemoryPlan:
     """Color non-overlapping transient live ranges into shared buffers.
 
     ``protect`` names containers that must keep their own storage (gradient
     targets, ``extra_keep``); the return container is always protected.
-    Pure analysis — apply the returned plan with :func:`apply_memory_plan`.
+    Footprints size symbols from ``symbol_values`` through the cost model's
+    :func:`~repro.passes.cost.size_env`.  Pure analysis — apply the returned
+    plan with :func:`apply_memory_plan`.
     """
     protected = set(protect)
     return_name = getattr(sdfg, "return_name", None)
@@ -231,10 +217,10 @@ def plan_memory(
     plan.buffers = [list(buf.members) for buf in buffers]
 
     # ------------------------------------------------- footprint accounting
-    transient_names = [n for n, d in sdfg.arrays.items() if d.transient]
+    transients = {n: d for n, d in sdfg.arrays.items() if d.transient}
     sizes = {
-        n: _container_bytes(sdfg, n, symbol_values, default_symbol_value)
-        for n in transient_names
+        n: d.size_bytes(size_env(d.free_symbols(), symbol_values))
+        for n, d in transients.items()
     }
     plan.transient_bytes_before = sum(sizes.values())
     plan.transient_bytes_after = plan.transient_bytes_before - sum(
@@ -257,7 +243,7 @@ def plan_memory(
 
     before_groups = [
         (info.intervals[n].start, info.intervals[n].end, sizes[n])
-        for n in transient_names if n in info.intervals
+        for n in transients if n in info.intervals
     ]
     plan.peak_bytes_before = sweep(before_groups)
 
@@ -267,7 +253,7 @@ def plan_memory(
         start = min(info.intervals[m].start for m in buf.members)
         end = max(info.intervals[m].end for m in buf.members)
         after_groups.append((start, end, sizes[buf.host]))
-    for n in transient_names:
+    for n in transients:
         if n in guest_set or n in info.intervals and any(
             n in buf.members for buf in buffers
         ):

@@ -14,7 +14,9 @@ Typical use::
     df = repro.compile(prog, wrt="A")             # gradient function
     print(df.report.pretty())                     # where compile time went
 
-Custom passes plug in via ``register_pass`` + ``extra_passes=``::
+A pipeline is a list of :class:`Pass` instances.  A custom pass is a
+subclass whose ``fingerprint()`` covers its configuration, handed over as an
+instance through ``extra_passes=``::
 
     class MyPass(Pass):
         name = "my-pass"
@@ -43,15 +45,7 @@ from repro.pipeline.driver import (
     to_sdfg,
 )
 from repro.pipeline.manager import PassManager, PassRecord, PipelineReport, ir_size
-from repro.pipeline.pass_base import (
-    FunctionPass,
-    Pass,
-    PassContext,
-    PipelineError,
-    available_passes,
-    make_pass,
-    register_pass,
-)
+from repro.pipeline.pass_base import Pass, PassContext, PipelineError
 from repro.pipeline.stages import (
     Autodiff,
     Codegen,
@@ -61,17 +55,12 @@ from repro.pipeline.stages import (
     GlobalValueNumbering,
     MapFusion,
     MemoryPlanning,
-    Validate,
 )
 
 __all__ = [
     "Pass",
-    "FunctionPass",
     "PassContext",
     "PipelineError",
-    "register_pass",
-    "make_pass",
-    "available_passes",
     "PassManager",
     "PassRecord",
     "PipelineReport",
@@ -94,7 +83,6 @@ __all__ = [
     "GlobalValueNumbering",
     "MapFusion",
     "MemoryPlanning",
-    "Validate",
     "CheckpointingSelection",
     "Autodiff",
     "Codegen",

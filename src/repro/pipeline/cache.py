@@ -17,6 +17,7 @@ observability snapshot (``repro.obs.metrics_snapshot()``) and in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from collections import OrderedDict
@@ -97,6 +98,24 @@ def stable_repr(value) -> Optional[str]:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def source_revision() -> str:
+    """Digest of every ``repro`` source file, computed once per process.
+
+    Pass fingerprints cover pass configuration, not the code behind it (the
+    emitters above all), so spill paths fold this in: a spill written by
+    other code is a miss, never a stale hit."""
+    import hashlib
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 @dataclass
 class CacheEntry:
     """One cached compilation: the compiled object plus everything the
@@ -140,7 +159,9 @@ class CompilationCache:
     APIs to bypass caching for one call, or a private instance to isolate it.
 
     With ``persist_dir`` set, every stored entry is additionally *spilled*
-    to ``<persist_dir>/<sha256(key)>.pkl`` via generated-source pickling
+    to ``<persist_dir>/<sha256(source_revision() + key)>.pkl`` — so a spill
+    written by different ``repro`` code (another emitter) is never loaded —
+    via generated-source pickling
     (the :class:`~repro.codegen.CompiledSDFG` pickles its emitted source and
     re-``exec``-utes it on load), and an in-memory miss falls back to
     loading the spilled entry — so a warm *process start* skips parsing,
@@ -204,7 +225,9 @@ class CompilationCache:
         import hashlib
         import os
 
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(
+            (source_revision() + repr(key)).encode("utf-8")
+        ).hexdigest()
         return os.path.join(self.persist_dir, f"{digest}.pkl")
 
     def _spill(self, entry: CacheEntry) -> bool:

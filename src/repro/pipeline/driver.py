@@ -36,7 +36,7 @@ from repro.pipeline.cache import (
     contains_miss_token,
 )
 from repro.pipeline.manager import PassManager, PipelineReport
-from repro.pipeline.pass_base import PassContext, PipelineError
+from repro.pipeline.pass_base import Pass, PassContext, PipelineError, as_passes
 from repro.pipeline.stages import (
     Autodiff,
     Codegen,
@@ -48,38 +48,37 @@ from repro.pipeline.stages import (
     MemoryPlanning,
 )
 
-#: Ordered simplification stages per optimization level.  Each entry is a
-#: pass class or ``(class, extra_kwargs)``.  ``O0`` compiles the program as
-#: written; ``O1`` is the paper's pre-AD cleanup; ``O2`` adds duplicate-work
+#: The optimization levels.  ``O0`` compiles the program as written;
+#: ``O1`` is the paper's pre-AD cleanup; ``O2`` adds duplicate-work
 #: elimination — global value numbering, within and across states — and
 #: producer/consumer map fusion; ``O3`` runs the same stages but makes
-#: fusion *cost-model-driven* (stencil offsets fuse when
-#: the recompute-vs-traffic model pays, and gradient compiles decline
-#: fusions the backward pass would have to recompute — see
-#: repro/passes/cost.py and docs/cost-model.md).  All levels run before AD,
-#: so gradients are generated from the optimised forward SDFG.  Every tier
-#: but O0 also appends liveness-driven memory planning *after* AD (see
-#: docs/memory-planning.md).  See docs/optimization-levels.md.
-OPT_LEVELS: dict[str, tuple] = {
-    "O0": (),
-    "O1": (ConstantBranchPruning, DeadCodeElimination),
-    "O2": (
-        ConstantBranchPruning,
-        DeadCodeElimination,
-        GlobalValueNumbering,
-        MapFusion,
-    ),
-    "O3": (
-        ConstantBranchPruning,
-        DeadCodeElimination,
-        GlobalValueNumbering,
-        (MapFusion, {"cost_driven": True}),
-    ),
-}
+#: fusion *cost-model-driven* (stencil offsets fuse when the
+#: recompute-vs-traffic model pays, and gradient compiles decline fusions
+#: the backward pass would have to recompute — see repro/passes/cost.py and
+#: docs/cost-model.md).  See docs/optimization-levels.md.
+OPT_LEVELS = ("O0", "O1", "O2", "O3")
 
-#: Stages that take an ``extra_keep`` tuple of containers they must preserve
-#: even when those look dead/mergeable (gradient targets, result names).
-_KEEP_AWARE = (DeadCodeElimination, GlobalValueNumbering, MapFusion)
+
+def _tier_passes(
+    optimize: str, keep: tuple, gradient: bool, backend: Optional[str]
+) -> list[Pass]:
+    """The simplification stages of one level.  ``keep`` names containers
+    later stages need even when they look dead or mergeable (gradient
+    targets, result names).  All of them run before AD, so gradients are
+    generated from the optimised forward SDFG."""
+    if optimize == "O0":
+        return []
+    passes: list[Pass] = [ConstantBranchPruning(), DeadCodeElimination(keep)]
+    if optimize == "O2":
+        passes += [GlobalValueNumbering(keep), MapFusion(keep)]
+    elif optimize == "O3":
+        # Cost-driven fusion prices backward-pass recomputation only when
+        # this compilation will actually differentiate.
+        passes += [
+            GlobalValueNumbering(keep),
+            MapFusion(keep, cost_driven=True, gradient_aware=gradient, backend=backend),
+        ]
+    return passes
 
 
 def to_sdfg(program) -> SDFG:
@@ -107,13 +106,13 @@ def build_pipeline(
     return_value: bool = False,
     func_name: Optional[str] = None,
     result_names: Optional[list[str]] = None,
-    extra_passes: Sequence = (),
+    extra_passes: Sequence[Pass] = (),
     backend: Optional[str] = None,
 ) -> PassManager:
     """Assemble the default pipeline for one compilation request.
 
-    ``extra_passes`` (pass instances, registered names or callables) are
-    inserted after simplification and before AD/codegen.  ``backend``
+    ``extra_passes`` (:class:`Pass` instances) are inserted after
+    simplification and before AD/codegen.  ``backend``
     selects the code generator (``None`` = numpy) — it configures both the
     terminal codegen stage and, at ``"O3"``, the cost model that prices
     fusions (native loops make recompute far cheaper; see docs/backends.md).
@@ -126,28 +125,17 @@ def build_pipeline(
         )
     # Containers downstream stages will need: simplification must not delete
     # them even when they are dead w.r.t. the program's return value.
-    keep: list[str] = []
-    for value in (output, wrt, result_names):
-        keep.extend([value] if isinstance(value, str) else list(value or ()))
-    passes: list = []
-    for entry in OPT_LEVELS[optimize]:
-        cls, kwargs = entry if isinstance(entry, tuple) else (entry, {})
-        kwargs = dict(kwargs)
-        if kwargs.get("cost_driven"):
-            # Cost-driven fusion prices backward-pass recomputation only
-            # when this compilation will actually differentiate.
-            kwargs.setdefault("gradient_aware", gradient)
-            kwargs.setdefault("backend", backend)
-        if issubclass(cls, _KEEP_AWARE):
-            kwargs.setdefault("extra_keep", tuple(keep))
-        passes.append(cls(**kwargs))
-
+    keep = tuple(
+        name for value in (output, wrt, result_names)
+        for name in ([value] if isinstance(value, str) else value or ())
+    )
+    passes = _tier_passes(optimize, keep, gradient, backend)
     passes.extend(extra_passes)
     if gradient:
         passes.append(CheckpointingSelection(checkpointing))
         passes.append(Autodiff(output=output, inputs=wrt))
     if optimize != "O0":
-        passes.append(MemoryPlanning(extra_keep=tuple(keep)))
+        passes.append(MemoryPlanning(keep))
     passes.append(
         Codegen(
             func_name=func_name,
@@ -275,7 +263,7 @@ class CompileOptions:
     output: Optional[str] = None
     return_value: bool = False
     symbol_values: Union[Mapping[str, object], tuple] = ()
-    extra_passes: Sequence = ()
+    extra_passes: Sequence[Pass] = ()
     func_name: Optional[str] = None
     result_names: Optional[Sequence[str]] = None
     profile: bool = field(default=False, metadata=_NOT_IN_KEY)
@@ -291,7 +279,7 @@ class CompileOptions:
             ("wrt", names(self.wrt)),
             ("result_names", names(self.result_names)),
             ("symbol_values", tuple(sorted(dict(self.symbol_values or ()).items()))),
-            ("extra_passes", tuple(self.extra_passes or ())),
+            ("extra_passes", as_passes(self.extra_passes or ())),
         ):
             object.__setattr__(self, name, value)
 

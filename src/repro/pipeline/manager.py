@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence
 from repro.ir import SDFG, State
 from repro.obs.clock import monotonic_ns
 from repro.obs.trace import span as _span
-from repro.pipeline.pass_base import Pass, PassContext, make_pass
+from repro.pipeline.pass_base import Pass, PassContext, as_passes
 
 
 def ir_size(sdfg: SDFG) -> int:
@@ -128,14 +128,14 @@ class PassManager:
     Parameters
     ----------
     passes:
-        Pipeline entries — :class:`Pass` instances, registered pass names or
-        plain ``fn(sdfg, ctx)`` callables (see :func:`make_pass`).
+        :class:`Pass` instances, run in order; anything else raises
+        ``TypeError``.
     name:
         Label used in reports and cache keys.
     """
 
-    def __init__(self, passes: Sequence, name: str = "pipeline") -> None:
-        self.passes: list[Pass] = [make_pass(spec) for spec in passes]
+    def __init__(self, passes: Sequence[Pass], name: str = "pipeline") -> None:
+        self.passes: list[Pass] = list(as_passes(passes))
         self.name = name
 
     def fingerprint(self) -> tuple:
@@ -143,18 +143,15 @@ class PassManager:
         return (self.name,) + tuple(p.fingerprint() for p in self.passes)
 
     def run(
-        self,
-        sdfg: SDFG,
-        ctx: Optional[PassContext] = None,
-        copy: bool = True,
+        self, sdfg: SDFG, ctx: Optional[PassContext] = None
     ) -> tuple[SDFG, PipelineReport]:
         """Execute the pipeline; returns the final SDFG and the report.
 
-        With ``copy=True`` (the default) the input SDFG is never mutated —
-        passes run on a deep copy, so callers can keep reusing their program.
+        The input SDFG is never mutated — passes run on a deep copy, so
+        callers can keep reusing their program.
         """
         ctx = ctx if ctx is not None else PassContext()
-        current = sdfg.copy() if copy else sdfg
+        current = sdfg.copy()
         report = PipelineReport(pipeline=self.name)
         with _span("pipeline.run", pipeline=self.name, sdfg=sdfg.name):
             for p in self.passes:

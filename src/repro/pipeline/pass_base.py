@@ -1,4 +1,4 @@
-"""The ``Pass`` protocol, the per-run :class:`PassContext` and the registry.
+"""The ``Pass`` protocol and the per-run :class:`PassContext`.
 
 A pass is a named SDFG-to-SDFG transformation.  Passes communicate through the
 :class:`PassContext`: analysis passes stash artifacts (the AD result, the
@@ -6,14 +6,14 @@ compiled object) under ``ctx.artifacts`` and record human-readable diagnostics
 with :meth:`PassContext.note`, which the :class:`~repro.pipeline.manager.PassManager`
 collects into the per-pass records of the :class:`PipelineReport`.
 
-Custom passes register themselves with :func:`register_pass` so pipelines can
-be assembled by name (``build_pipeline(extra_passes=["my-pass"])``).
+A pipeline is a list of :class:`Pass` instances; a custom pass is a subclass
+whose ``fingerprint()`` covers its configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.ir import SDFG
 from repro.util.errors import PipelineError
@@ -100,111 +100,14 @@ class Pass:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class FunctionPass(Pass):
-    """Adapter turning a plain ``fn(sdfg, ctx) -> SDFG | None`` into a pass.
-
-    The fingerprint hashes the wrapped function's bytecode, constants,
-    closure, primitive-valued globals it reads, and (for bound methods) the
-    receiver's state — anything without a stable representation gets a
-    process-unique token, forcing a cache miss instead of a wrong hit.
-    Mutating a *module-valued* global a pass calls through is outside this
-    net; implement :class:`Pass` with an explicit ``fingerprint()`` for
-    passes whose behaviour depends on such state.
-    """
-
-    def __init__(self, name: str, fn: Callable[[SDFG, PassContext], Optional[SDFG]]) -> None:
-        self.name = name
-        self.fn = fn
-
-    def apply(self, sdfg: SDFG, ctx: PassContext) -> Optional[SDFG]:
-        return self.fn(sdfg, ctx)
-
-    def fingerprint(self) -> tuple:
-        import hashlib
-
-        from repro.pipeline.cache import stable_repr, unique_token
-
-        func = getattr(self.fn, "__func__", self.fn)
-        code = getattr(func, "__code__", None)
-        if code is None:
-            # Arbitrary callable object: no introspectable code, never share.
-            return (self.name, unique_token())
-        digest = hashlib.sha256(
-            code.co_code + repr(code.co_consts).encode("utf-8")
-        ).hexdigest()
-        closure = tuple(
-            stable_repr(cell.cell_contents) or unique_token()
-            for cell in (func.__closure__ or ())
-        )
-        # Globals the bytecode reads: primitives by value, code-like objects
-        # (modules/functions/classes) by qualified name, anything else by a
-        # miss token — a mutated ndarray global must not produce a stale hit.
-        import types
-
-        def global_fingerprint(value) -> str:
-            stable = stable_repr(value)
-            if stable is not None:
-                return stable
-            if isinstance(
-                value,
-                (types.ModuleType, types.FunctionType, types.BuiltinFunctionType, type),
-            ):
-                qualname = getattr(value, "__qualname__", getattr(value, "__name__", ""))
-                return f"ref:{getattr(value, '__module__', '')}.{qualname}"
-            return unique_token()
-
-        func_globals = getattr(func, "__globals__", {})
-        read_globals = tuple(
-            (name, global_fingerprint(func_globals[name]))
-            for name in sorted(code.co_names)
-            if name in func_globals
-        )
-        bound = getattr(self.fn, "__self__", None)
-        if bound is None:
-            bound_state = None
-        else:
-            try:
-                bound_state = stable_repr(vars(bound)) or unique_token()
-            except TypeError:
-                bound_state = unique_token()
-        return (
-            self.name,
-            getattr(func, "__module__", ""),
-            getattr(func, "__qualname__", ""),
-            digest,
-            closure,
-            read_globals,
-            bound_state,
-        )
-
-
-#: Global name -> pass-factory registry (factories are zero-argument callables).
-PASS_REGISTRY: dict[str, Callable[[], Pass]] = {}
-
-
-def register_pass(name: str, factory: Callable[[], Pass]) -> None:
-    """Register a pass factory under ``name`` for use in pipeline configs."""
-    if name in PASS_REGISTRY:
-        raise PipelineError(f"Pass {name!r} is already registered")
-    PASS_REGISTRY[name] = factory
-
-
-def make_pass(spec) -> Pass:
-    """Resolve a pipeline entry: a :class:`Pass` instance, a registered name,
-    or a callable ``fn(sdfg, ctx)`` (wrapped as a :class:`FunctionPass`)."""
-    if isinstance(spec, Pass):
-        return spec
-    if isinstance(spec, str):
-        if spec not in PASS_REGISTRY:
-            raise PipelineError(
-                f"Unknown pass {spec!r}; registered: {sorted(PASS_REGISTRY)}"
+def as_passes(entries: Iterable) -> tuple[Pass, ...]:
+    """``entries`` as a tuple of passes; anything but a :class:`Pass`
+    instance (a name, a plain function) raises ``TypeError``."""
+    passes = tuple(entries)
+    for entry in passes:
+        if not isinstance(entry, Pass):
+            raise TypeError(
+                f"pipeline entries must be Pass instances, got {entry!r}; "
+                "subclass repro.pipeline.Pass and give it a fingerprint()"
             )
-        return PASS_REGISTRY[spec]()
-    if callable(spec):
-        return FunctionPass(getattr(spec, "__name__", "anonymous"), spec)
-    raise PipelineError(f"Cannot build a pass from {spec!r}")
-
-
-def available_passes() -> list[str]:
-    """Sorted names of every registered pass (builtin + user-registered)."""
-    return sorted(PASS_REGISTRY)
+    return passes

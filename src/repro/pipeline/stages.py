@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from repro.ir import SDFG
 from repro.pipeline.cache import stable_repr, unique_token
-from repro.pipeline.pass_base import Pass, PassContext, PipelineError, register_pass
+from repro.pipeline.pass_base import Pass, PassContext, PipelineError
 
 
 class ConstantBranchPruning(Pass):
@@ -156,17 +156,17 @@ class MapFusion(Pass):
     later stage differentiates or returns.
 
     With ``cost_driven=True`` (the ``"O3"`` tier) every candidate is priced
-    by the static cost model (:mod:`repro.passes.cost`, knobs in
-    ``cost_config``): reads at several distinct stencil offsets may fuse
-    when the recompute-vs-traffic trade-off pays, and ``gradient_aware=True``
-    declines fusions that would force the backward pass to recompute stored
-    values.  Decision counts land in the pipeline report
-    (``fused_stencil``, ``declined_gradient``, ...).
+    by the static cost model (:mod:`repro.passes.cost`): reads at several
+    distinct stencil offsets may fuse when the recompute-vs-traffic
+    trade-off pays, and ``gradient_aware=True`` declines fusions that would
+    force the backward pass to recompute stored values.  Decision counts
+    land in the pipeline report (``fused_stencil``, ``declined_gradient``,
+    ...).
 
-    ``backend`` calibrates the pricing: without an explicit ``cost_config``
-    the knobs come from ``CostModelConfig.for_backend(backend)`` — native
-    loops keep recomputed values in registers, so recompute is priced far
-    cheaper than under the interpreted NumPy backend (see docs/cost-model.md).
+    ``backend`` calibrates the pricing through
+    ``CostModelConfig.for_backend(backend)`` — native loops keep recomputed
+    values in registers, so recompute is priced far cheaper than under the
+    interpreted NumPy backend (see docs/cost-model.md).
     """
 
     name = "map-fusion"
@@ -176,20 +176,16 @@ class MapFusion(Pass):
         extra_keep: Sequence[str] = (),
         cost_driven: bool = False,
         gradient_aware: bool = False,
-        cost_config=None,
         backend: Optional[str] = None,
     ) -> None:
         self.extra_keep = tuple(extra_keep)
         self.cost_driven = cost_driven
         self.gradient_aware = gradient_aware
-        self.cost_config = cost_config
         self.backend = backend
 
-    def _resolved_config(self):
+    def _config(self):
         from repro.passes.cost import CostModelConfig
 
-        if self.cost_config is not None:
-            return self.cost_config
         return CostModelConfig.for_backend(self.backend)
 
     def apply(self, sdfg: SDFG, ctx: PassContext) -> SDFG:
@@ -200,9 +196,7 @@ class MapFusion(Pass):
         model = None
         if self.cost_driven:
             model = CostModel(
-                sdfg,
-                symbol_values=ctx.symbol_values,
-                config=self._resolved_config(),
+                sdfg, symbol_values=ctx.symbol_values, config=self._config(),
             )
         fused = fuse_elementwise_maps(
             sdfg, protect=protect, cost_model=model,
@@ -221,19 +215,9 @@ class MapFusion(Pass):
             fp += (
                 "cost-driven",
                 self.gradient_aware,
-                self._resolved_config().fingerprint(),
+                self._config().fingerprint(),
             )
         return fp
-
-
-class Validate(Pass):
-    """Structural validation (cheap sanity net between transformations)."""
-
-    name = "validate"
-
-    def apply(self, sdfg: SDFG, ctx: PassContext) -> SDFG:
-        sdfg.validate()
-        return sdfg
 
 
 class CheckpointingSelection(Pass):
@@ -434,23 +418,3 @@ def strategy_fingerprint(spec) -> tuple:
         for key, value in sorted(vars(spec).items())
     )
     return (type(spec).__qualname__, attrs)
-
-
-def register_builtin_passes() -> None:
-    """Populate the global registry with every built-in stage, so pipelines
-    can be assembled by name (``PassManager(["map-fusion", "codegen"])``)."""
-    for cls in (
-        ConstantBranchPruning,
-        DeadCodeElimination,
-        GlobalValueNumbering,
-        MemoryPlanning,
-        MapFusion,
-        Validate,
-        CheckpointingSelection,
-        Autodiff,
-        Codegen,
-    ):
-        register_pass(cls.name, cls)
-
-
-register_builtin_passes()

@@ -13,16 +13,26 @@ from repro.npbench import get_kernel
 from repro.pipeline import (
     CompilationCache,
     CompileOptions,
+    Pass,
     PipelineError,
     compile_forward,
     compile_gradient,
     compile_request,
 )
-from repro.pipeline.stages import Validate
 from repro.serve import numpy_fallback
 
 N = repro.symbol("N")
 X = np.linspace(0.5, 1.5, 4)
+
+
+class Noop(Pass):
+    name = "noop"
+
+    def apply(self, sdfg, ctx):
+        return sdfg
+
+
+NOOP = Noop()
 
 
 def _program():
@@ -43,7 +53,7 @@ FIELD_VALUES = {
     "output": "__return",
     "return_value": True,
     "symbol_values": {"N": 4},
-    "extra_passes": [Validate()],
+    "extra_passes": [NOOP],
     "func_name": "renamed_entry",
     "result_names": ["__return"],
     "profile": True,
@@ -123,12 +133,12 @@ class TestEveryAdapterTakesEveryField:
 class TestCompileOptions:
     def test_normalised_hashable_replaceable(self):
         options = CompileOptions(wrt="A", symbol_values={"b": 2, "a": 1},
-                                 extra_passes=["validate"], result_names=["r"])
+                                 extra_passes=[NOOP], result_names=["r"])
         assert options.wrt == ("A",) and options.result_names == ("r",)
         assert options.symbol_values == (("a", 1), ("b", 2))
-        assert options.extra_passes == ("validate",)
+        assert options.extra_passes == (NOOP,)
         assert options == CompileOptions(wrt=["A"], symbol_values={"a": 1, "b": 2},
-                                         extra_passes=("validate",), result_names=("r",))
+                                         extra_passes=(NOOP,), result_names=("r",))
         assert hash(options) == hash(dataclasses.replace(options))
         assert dataclasses.replace(options, optimize="O3").wrt == ("A",)
         with pytest.raises(dataclasses.FrozenInstanceError):

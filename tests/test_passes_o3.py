@@ -387,14 +387,10 @@ class TestO3Pipeline:
         grad = build_pipeline("O3", gradient=True, wrt=["x"]).fingerprint()
         assert fwd != grad
 
-    def test_cost_config_knobs_are_cache_relevant(self):
-        from repro.pipeline import MapFusion
-
-        a = MapFusion(cost_driven=True).fingerprint()
-        b = MapFusion(
-            cost_driven=True, cost_config=CostModelConfig(bytes_per_flop=1.0)
-        ).fingerprint()
-        assert a != b
+    def test_backend_cost_knobs_reach_the_fusion_fingerprint(self):
+        manager = build_pipeline("O3", backend="cython")
+        fusion = next(p for p in manager.passes if p.name == "map-fusion")
+        assert CostModelConfig.for_backend("cython").fingerprint() in fusion.fingerprint()
 
     def test_unknown_level_still_rejected(self):
         from repro.pipeline import PipelineError

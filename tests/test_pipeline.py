@@ -15,12 +15,12 @@ from repro.codegen import compile_sdfg
 from repro.npbench import get_kernel
 from repro.pipeline import (
     CompilationCache,
+    CompileOptions,
     Pass,
     PassManager,
     build_pipeline,
     compile_forward,
     compile_gradient,
-    register_pass,
     run_pipeline,
 )
 from repro.pipeline.stages import strategy_fingerprint
@@ -427,57 +427,40 @@ class TestCustomPasses:
         record = outcome.report.record_for("count-arrays")
         assert record is not None and record.info["arrays"] >= 1
 
-    def test_registered_pass_resolves_by_name(self):
-        calls = []
+    @pytest.mark.parametrize("entry", ["codegen", lambda sdfg, ctx: sdfg],
+                             ids=["name", "function"])
+    def test_anything_but_a_pass_instance_is_a_type_error(self, entry):
+        for build in (
+            lambda: PassManager([entry]),
+            lambda: build_pipeline("O0", extra_passes=[entry]),
+            lambda: compile_forward(make_program(), "O0", cache=False,
+                                    extra_passes=[entry]),
+            lambda: CompileOptions(extra_passes=[entry]),
+        ):
+            with pytest.raises(TypeError, match="subclass repro.pipeline.Pass"):
+                build()
 
-        class Marker(Pass):
-            name = "test-marker"
+    def test_pass_fingerprints_key_the_cache(self):
+        class Scale(Pass):
+            name = "scale"
+
+            def __init__(self, factor):
+                self.factor = factor
 
             def apply(self, sdfg, ctx):
-                calls.append(sdfg.name)
+                ctx.note("factor", self.factor)
                 return sdfg
 
-        register_pass("test-marker", Marker)
-        try:
-            manager = PassManager(["test-marker", "codegen"])
-            outcome = run_pipeline(make_program().to_sdfg(), manager, cache=False)
-            assert calls and outcome.compiled is not None
-        finally:
-            from repro.pipeline.pass_base import PASS_REGISTRY
+            def fingerprint(self):
+                return (self.name, self.factor)
 
-            PASS_REGISTRY.pop("test-marker", None)
-
-    def test_distinct_callables_do_not_share_cache_entries(self):
-        cache = CompilationCache()
-        program = make_program()
-        first = compile_forward(
-            program, "O0", cache=cache, extra_passes=[lambda s, c: s]
-        )
-        second = compile_forward(
-            program, "O0", cache=cache, extra_passes=[lambda s, c: c.note("x", 1) or s]
-        )
-        assert first.key != second.key
-        assert second.compiled is not first.compiled
-
-    def test_mutated_array_global_does_not_produce_stale_hit(self):
-        import types
-
-        mod = types.ModuleType("cfgmod_test")
-        exec(
-            "import numpy as np\n"
-            "SCALE = np.array([2.0])\n"
-            "def tag(sdfg, ctx):\n"
-            "    ctx.note('scale', float(SCALE[0]))\n"
-            "    return sdfg\n",
-            mod.__dict__,
-        )
-        cache = CompilationCache()
-        program = make_program()
-        first = compile_forward(program, "O0", cache=cache, extra_passes=[mod.tag])
-        mod.SCALE[0] = 99.0
-        second = compile_forward(program, "O0", cache=cache, extra_passes=[mod.tag])
-        assert not second.cache_hit
-        assert second.report.record_for("tag").info["scale"] == 99.0
+        cache, program = CompilationCache(), make_program()
+        first = compile_forward(program, "O0", cache=cache, extra_passes=[Scale(2)])
+        again = compile_forward(program, "O0", cache=cache, extra_passes=[Scale(2)])
+        other = compile_forward(program, "O0", cache=cache, extra_passes=[Scale(3)])
+        assert again.cache_hit and again.compiled is first.compiled
+        assert not other.cache_hit and other.key != first.key
+        assert other.report.record_for("scale").info["factor"] == 3
 
     def test_cache_true_uses_default_cache(self):
         program = make_program()
@@ -485,15 +468,6 @@ class TestCustomPasses:
         outcome = compile_forward(program, "O1", cache=True)
         assert repro.pipeline.DEFAULT_CACHE.stats.lookups == baseline + 1
         assert outcome.compiled is not None
-
-    def test_plain_callable_becomes_function_pass(self):
-        def noop(sdfg, ctx):
-            ctx.note("seen", True)
-            return sdfg
-
-        manager = build_pipeline("O0", extra_passes=[noop])
-        outcome = run_pipeline(make_program().to_sdfg(), manager, cache=False)
-        assert outcome.report.record_for("noop").info["seen"] is True
 
 
 class TestCachePersistence:
@@ -553,6 +527,21 @@ class TestCachePersistence:
             assert not cache._spill(entry)
         finally:
             entry.artifacts["handle"].close()
+
+    def test_spill_from_other_source_revision_is_a_miss(self, tmp_path, monkeypatch):
+        from repro.pipeline import cache as cache_module
+
+        program = make_program()
+        monkeypatch.setattr(cache_module, "source_revision", lambda: "older-code")
+        compile_forward(program, "O1", cache=CompilationCache(persist_dir=str(tmp_path)))
+        monkeypatch.undo()
+        fresh = CompilationCache(persist_dir=str(tmp_path))
+        outcome = compile_forward(program, "O1", cache=fresh)
+        assert not outcome.cache_hit
+        assert fresh.stats.disk_hits == 0 and fresh.stats.misses == 1  # recompiled
+        same = CompilationCache(persist_dir=str(tmp_path))
+        assert compile_forward(program, "O1", cache=same).cache_hit
+        assert same.stats.disk_hits == 1
 
     def test_corrupt_spill_file_is_treated_as_miss(self, tmp_path):
         program = make_program()
