@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import sys
 
 import numpy as np
 
 from repro.harness import (
+    environment_metadata,
     format_table,
     geometric_mean,
     paper_expectation,
@@ -85,32 +84,12 @@ def write_json(name: str, payload: dict) -> str:
     return path
 
 
-def environment_metadata() -> dict:
-    """Machine/toolchain context of a benchmark run: Python/NumPy/platform
-    versions plus the registered code-generation backends and — when a C
-    toolchain is present — its identity, so result JSONs from different
-    machines or backend configurations are comparable at a glance."""
-    from repro.codegen import available_backends, registered_backends
-    from repro.codegen.cython_backend import find_c_compiler, toolchain_description
-
-    compiler = find_c_compiler()
-    return {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "numpy": np.__version__,
-        "backends_registered": registered_backends(),
-        "backends_available": available_backends(),
-        "c_compiler": compiler,
-        "c_toolchain": toolchain_description(),
-    }
-
-
 def write_results(benchmark: str, payload: dict) -> str:
     """The one result-writing helper every ``bench_*`` script should use.
 
     Stamps the payload with the benchmark name, the environment metadata
-    (interpreter, platform, registered/available codegen backends, C
-    toolchain) and a snapshot of the process-wide observability metrics
+    (:func:`repro.harness.environment_metadata`: interpreter, platform,
+    NumPy, C toolchain) and a snapshot of the process-wide observability metrics
     (cache hit/miss counters, queue latency histograms — see
     ``docs/observability.md``), and writes it to
     ``benchmarks/results/<benchmark>.json`` via :func:`write_json`, so all

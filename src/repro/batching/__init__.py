@@ -25,11 +25,7 @@ batched-vs-per-sample throughput.
 """
 
 from repro.batching.transform import BatchInfo, batch_sdfg, resolve_in_axes
-from repro.batching.rules import (
-    BATCHING_RULES,
-    LibraryBatchContext,
-    register_batching_rule,
-)
+from repro.batching.rules import BATCHING_RULES, LibraryBatchContext
 from repro.batching.vmap import BatchedProgram, Vmap, vmap
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "resolve_in_axes",
     "BATCHING_RULES",
     "LibraryBatchContext",
-    "register_batching_rule",
     "BatchedProgram",
     "Vmap",
     "vmap",

@@ -6,17 +6,12 @@ typically it prepends a full ``0:B`` range to the memlets of batched
 operands and adjusts kind-specific attributes (a reduction axis shifts by
 one, a transpose becomes an explicit axes permutation, ...).
 
-Rules are looked up in :data:`BATCHING_RULES`; kinds without an entry raise
+Rules are looked up in :data:`BATCHING_RULES`, the table at the end of
+this module keyed by library-node kind; kinds without an entry raise
 :class:`~repro.util.errors.UnsupportedFeatureError` with a message naming
 the kind, so unsupported programs fail loudly at transform time instead of
-producing wrong batched results.  New rules register with
-:func:`register_batching_rule`, keyed by the library-node kind they
-rewrite::
-
-    @register_batching_rule("mykind")
-    def _batch_mykind(ctx: LibraryBatchContext) -> None:
-        ctx.extend_all()          # rank-extend every batched memlet
-        ctx.node.attrs["axis"] += 1
+producing wrong batched results.  A new rule is a function taking a
+:class:`LibraryBatchContext` plus its row in the table.
 """
 
 from __future__ import annotations
@@ -84,22 +79,6 @@ class LibraryBatchContext:
         )
 
 
-#: kind -> rule.  Rules mutate ``ctx.node`` in place or raise.
-BATCHING_RULES: dict[str, Callable[[LibraryBatchContext], None]] = {}
-
-
-def register_batching_rule(kind: str):
-    """Decorator registering a batching rule for one library-node kind."""
-
-    def decorate(fn: Callable[[LibraryBatchContext], None]):
-        if kind in BATCHING_RULES:
-            raise ValueError(f"Batching rule for {kind!r} is already registered")
-        BATCHING_RULES[kind] = fn
-        return fn
-
-    return decorate
-
-
 def apply_library_rule(node: LibraryCall, batched: set, old_shapes: dict,
                        batch_size: Sym) -> None:
     """Rewrite ``node`` for batched execution, or raise a clear error."""
@@ -114,9 +93,6 @@ def apply_library_rule(node: LibraryCall, batched: set, old_shapes: dict,
 
 
 # --------------------------------------------------------------------- rules
-@register_batching_rule("reduce_sum")
-@register_batching_rule("reduce_max")
-@register_batching_rule("reduce_min")
 def _batch_reduction(ctx: LibraryBatchContext) -> None:
     """Shift the reduction axis past the new leading batch dimension.
 
@@ -140,7 +116,6 @@ def _batch_reduction(ctx: LibraryBatchContext) -> None:
     ctx.extend_all()
 
 
-@register_batching_rule("matmul")
 def _batch_matmul(ctx: LibraryBatchContext) -> None:
     """``np.matmul`` broadcasts leading batch dimensions natively, so a
     batched 2-D operand simply becomes a 3-D stack.  A batched 1-D operand
@@ -173,7 +148,6 @@ def _batch_matmul(ctx: LibraryBatchContext) -> None:
     ctx.extend_all()
 
 
-@register_batching_rule("transpose")
 def _batch_transpose(ctx: LibraryBatchContext) -> None:
     """A batched 2-D transpose swaps the trailing axes only: record the
     explicit permutation ``(0, 2, 1)`` for the code generator (a bare
@@ -186,16 +160,26 @@ def _batch_transpose(ctx: LibraryBatchContext) -> None:
     ctx.extend_all()
 
 
-@register_batching_rule("copy")
-@register_batching_rule("relu")
 def _batch_elementwise(ctx: LibraryBatchContext) -> None:
     """Element-wise kinds: rank extension is the whole rule.  An unbatched
     source into a batched destination broadcasts across the batch."""
     ctx.extend_all()
 
 
-@register_batching_rule("softmax")
 def _batch_softmax(ctx: LibraryBatchContext) -> None:
     """Softmax normalises along the *last* axis, which a leading batch
     dimension does not disturb."""
     ctx.extend_all()
+
+
+#: kind -> rule.  Rules mutate ``ctx.node`` in place or raise.
+BATCHING_RULES: dict[str, Callable[[LibraryBatchContext], None]] = {
+    "reduce_sum": _batch_reduction,
+    "reduce_max": _batch_reduction,
+    "reduce_min": _batch_reduction,
+    "matmul": _batch_matmul,
+    "transpose": _batch_transpose,
+    "copy": _batch_elementwise,
+    "relu": _batch_elementwise,
+    "softmax": _batch_softmax,
+}

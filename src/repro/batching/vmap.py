@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.batching.transform import BatchInfo, InAxes, batch_sdfg
 from repro.ir import SDFG
-from repro.pipeline.cache import stable_repr, unique_token
+from repro.pipeline.cache import stable_repr
 from repro.pipeline.pass_base import Pass, PassContext
 
 
@@ -45,6 +45,13 @@ class Vmap(Pass):
     name = "vmap"
 
     def __init__(self, in_axes: InAxes = 0, batch_symbol: Optional[str] = None) -> None:
+        try:
+            self._axes_key = stable_repr(in_axes)
+        except TypeError:
+            raise TypeError(
+                "in_axes must be 0, a {name: 0 | None} mapping or a sequence of "
+                f"0 / None, got {in_axes!r}"
+            ) from None
         self.in_axes = in_axes
         self.batch_symbol = batch_symbol
 
@@ -56,9 +63,7 @@ class Vmap(Pass):
         return info.sdfg
 
     def fingerprint(self) -> tuple:
-        axes = stable_repr(self.in_axes)
-        return (self.name, axes if axes is not None else unique_token(),
-                self.batch_symbol)
+        return (self.name, self._axes_key, self.batch_symbol)
 
 
 class BatchedProgram:

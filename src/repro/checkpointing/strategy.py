@@ -16,7 +16,7 @@ candidates discovered by the storage planner and returns, per candidate key,
 
 from __future__ import annotations
 
-import time
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -26,6 +26,7 @@ from repro.checkpointing.ilp import build_ilp
 from repro.checkpointing.memseq import MemoryTerm, build_memory_sequence, peak_memory
 from repro.checkpointing.solvers import solve_with_scipy
 from repro.ir import SDFG
+from repro.obs.clock import monotonic_ns, seconds_between
 from repro.util.errors import CheckpointingError
 
 
@@ -109,17 +110,18 @@ class ILPCheckpointing(CheckpointingStrategy):
         symbol_values: Optional[Mapping[str, int]] = None,
     ) -> None:
         self.memory_limit_mib = float(memory_limit_mib)
-        self.symbol_values = dict(symbol_values or {})
+        try:
+            self.symbol_values = {
+                name: operator.index(value) for name, value in (symbol_values or {}).items()
+            }
+        except TypeError:
+            raise TypeError(
+                f"ILPCheckpointing symbol_values must be integers, got {symbol_values!r}"
+            ) from None
         self.last_report: Optional[ILPReport] = None
 
     def cache_fingerprint(self) -> tuple:
-        from repro.pipeline.cache import stable_repr, unique_token
-
-        symbols = tuple(
-            (name, stable_repr(value) or unique_token())
-            for name, value in sorted(self.symbol_values.items())
-        )
-        return (self.memory_limit_mib, symbols)
+        return (self.memory_limit_mib, tuple(sorted(self.symbol_values.items())))
 
     def decide(self, sdfg: SDFG, candidates: Sequence[RematCandidate]) -> dict[str, str]:
         if not candidates:
@@ -143,9 +145,9 @@ class ILPCheckpointing(CheckpointingStrategy):
         limit_bytes = self.memory_limit_mib * 2**20
         problem = build_ilp(costs, terms, limit_bytes)
 
-        start = time.perf_counter()
+        start = monotonic_ns()
         decisions, objective = solve_with_scipy(problem)
-        elapsed = time.perf_counter() - start
+        elapsed = seconds_between(start, monotonic_ns())
 
         by_data = {}
         for candidate in candidates:

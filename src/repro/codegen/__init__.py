@@ -1,9 +1,9 @@
-"""Code generation: SDFG -> executable callable, behind pluggable backends.
+"""Code generation: SDFG -> executable callable, on one of two backends.
 
-Code generation is dispatched through a backend registry
-(:mod:`repro.codegen.backend`): ``compile_sdfg(sdfg, backend="numpy")`` is
-the default interpreted path, ``backend="cython"`` the native one (see
-``docs/backends.md``).
+``compile_sdfg(sdfg, backend="numpy")`` is the default interpreted path,
+``backend="cython"`` (alias ``"native"``) the native one;
+:func:`resolve_backend` maps every accepted spelling to its canonical name
+and rejects the rest (see ``docs/backends.md``).
 
 The default **numpy backend** emits one Python function per SDFG:
 
@@ -29,26 +29,15 @@ The generated source is kept on the compiled object (``.source``) for
 inspection and testing; ``.backend`` names the producing backend.
 """
 
-from repro.codegen.backend import (
-    Backend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
-from repro.codegen.compiled import CompiledSDFG, compile_sdfg
+from repro.codegen.compiled import CompiledSDFG, compile_sdfg, resolve_backend
 from repro.codegen.emitter import generate_source
 from repro.codegen.runtime import bind_arguments, build_runtime_namespace
 
 __all__ = [
-    "Backend",
     "CompiledSDFG",
-    "available_backends",
     "bind_arguments",
     "build_runtime_namespace",
     "compile_sdfg",
     "generate_source",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
+    "resolve_backend",
 ]

@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.codegen.emitter import generate_source
 from repro.codegen.runtime import (
     bind_arguments,
     build_runtime_namespace,
@@ -13,6 +14,7 @@ from repro.codegen.runtime import (
     load_driver,
 )
 from repro.ir import SDFG
+from repro.util.errors import CodegenError
 
 
 def _unwrap(value):
@@ -31,7 +33,7 @@ class CompiledSDFG:
     produced the executable (subclasses override it).
     """
 
-    #: Registry name of the backend that produced this object.
+    #: Canonical name of the backend that produced this object.
     backend = "numpy"
 
     def __init__(self, sdfg: SDFG, source: str, func, result_names: list[str]) -> None:
@@ -101,6 +103,21 @@ class CompiledSDFG:
         )
 
 
+#: Accepted backend spellings -> the canonical name reports and cache keys use.
+BACKEND_NAMES = {None: "numpy", "numpy": "numpy", "cython": "cython", "native": "cython"}
+
+
+def resolve_backend(name: Optional[str]) -> str:
+    """The canonical backend name: ``None`` / ``"numpy"`` -> ``"numpy"``,
+    ``"cython"`` / ``"native"`` -> ``"cython"``; anything else raises
+    :class:`~repro.util.errors.CodegenError` listing the options."""
+    try:
+        return BACKEND_NAMES[name]
+    except (KeyError, TypeError):
+        options = sorted(key for key in BACKEND_NAMES if key is not None)
+        raise CodegenError(f"Unknown backend {name!r}; options: {options}") from None
+
+
 def compile_sdfg(
     sdfg: SDFG,
     func_name: Optional[str] = None,
@@ -109,18 +126,21 @@ def compile_sdfg(
 ) -> CompiledSDFG:
     """Generate, compile and wrap executable code for ``sdfg``.
 
-    ``backend`` names a registered code generator (``"numpy"`` — the
-    default — or ``"cython"``); see :mod:`repro.codegen.backend`.  A backend
-    may raise :class:`~repro.util.errors.UnsupportedFeatureError` to decline
-    the program — callers wanting automatic fallback should catch it and
-    retry with ``backend="numpy"`` (the pipeline's codegen stage does).
+    ``backend`` is ``"numpy"`` (the default, the emitted driver runs as
+    Python) or ``"cython"`` (alias ``"native"``: hot segments become C).
+    The native build may raise
+    :class:`~repro.util.errors.UnsupportedFeatureError` to decline the
+    program — callers wanting automatic fallback should catch it and retry
+    with ``backend="numpy"`` (the pipeline's codegen stage does).
     """
-    from repro.codegen.backend import get_backend
-
     if result_names is None:
         return_name = getattr(sdfg, "return_name", None)
         result_names = [return_name] if return_name else []
     func_name = func_name or f"__generated_{sdfg.name}"
-    return get_backend(backend).compile(
-        sdfg, func_name=func_name, result_names=result_names
-    )
+    if resolve_backend(backend) == "cython":
+        from repro.codegen.cython_backend.compiled import compile_native
+
+        return compile_native(sdfg, func_name, result_names)
+    source = generate_source(sdfg, func_name, result_names)
+    func = load_driver(source, func_name, build_runtime_namespace(), sdfg.name)
+    return CompiledSDFG(sdfg, source, func, result_names)

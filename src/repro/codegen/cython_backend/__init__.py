@@ -13,28 +13,24 @@ Modules: :mod:`~repro.codegen.cython_backend.cemit` (expression -> C),
 :mod:`~repro.codegen.cython_backend.lower` (segments -> kernel functions),
 :mod:`~repro.codegen.cython_backend.emitter` (hybrid driver emission),
 :mod:`~repro.codegen.cython_backend.build` (toolchain + artifact cache),
-:mod:`~repro.codegen.cython_backend.compiled` (wrapper + Backend class).
+:mod:`~repro.codegen.cython_backend.compiled` (wrapper +
+:func:`~repro.codegen.cython_backend.compiled.compile_native`).
 
-Importing this package registers the backend under ``"cython"`` and the
-alias ``"native"``.
+``repro.codegen.compile_sdfg`` selects it by name: ``backend="cython"`` or
+the alias ``"native"``.
 """
 
-from repro.codegen.backend import register_backend
 from repro.codegen.cython_backend.build import (
     NativeToolchainError,
     find_c_compiler,
     toolchain_description,
 )
-from repro.codegen.cython_backend.compiled import CythonBackend, NativeCompiledSDFG
+from repro.codegen.cython_backend.compiled import NativeCompiledSDFG, compile_native
 from repro.codegen.cython_backend.emitter import NativeSourceEmitter
 
-_BACKEND = CythonBackend()
-register_backend("cython", _BACKEND)
-register_backend("native", _BACKEND)
-
 __all__ = [
-    "CythonBackend",
     "NativeCompiledSDFG",
+    "compile_native",
     "NativeSourceEmitter",
     "NativeToolchainError",
     "find_c_compiler",

@@ -1,4 +1,4 @@
-"""The native backend: compiled-object wrapper and Backend implementation.
+"""The native backend: compiled-object wrapper and :func:`compile_native`.
 
 :class:`NativeCompiledSDFG` extends the generated-source pickling contract
 of :class:`~repro.codegen.CompiledSDFG` to *backend artifacts*: pickling
@@ -18,11 +18,8 @@ exactly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.codegen.backend import Backend
 from repro.codegen.compiled import CompiledSDFG
 from repro.codegen.cython_backend.build import (
     NativeToolchainError,
@@ -138,38 +135,30 @@ class NativeCompiledSDFG(CompiledSDFG):
         return clone
 
 
-class CythonBackend(Backend):
-    """Native code generation through the system C toolchain.
+def compile_native(sdfg: SDFG, func_name: str, result_names: list[str]) -> NativeCompiledSDFG:
+    """Build ``sdfg`` with its lowerable segments in C (the ``"cython"``
+    backend; the emitted language is plain C compiled with ``cc``).
 
-    (Named after the issue's Cython tier; the emitted language is plain C
-    compiled with ``cc``, which needs no Python-level build dependency —
-    see ``docs/backends.md`` for the trade-off.)
+    Raises :class:`NativeToolchainError` without a C compiler and
+    :class:`~repro.util.errors.UnsupportedFeatureError` when nothing lowers.
     """
-
-    name = "cython"
-
-    def unavailable_reason(self) -> Optional[str]:
-        if find_c_compiler() is None:
-            return "no C compiler on PATH (install cc/gcc/clang or set $REPRO_CC)"
-        return None
-
-    def compile(self, sdfg: SDFG, func_name: str, result_names: list[str]):
-        reason = self.unavailable_reason()
-        if reason is not None:
-            raise NativeToolchainError(reason)
-        emitter = NativeSourceEmitter(sdfg, func_name, result_names)
-        source = emitter.generate()
-        if not emitter.kernels:
-            details = "; ".join(emitter.decline_reasons[:3]) or "no compute"
-            raise UnsupportedFeatureError(
-                f"cython backend: nothing in {sdfg.name!r} lowers to C ({details})"
-            )
-        c_source = render_c_source(emitter.kernels)
-        digest = source_digest(c_source)
-        library_path = ensure_shared_object(c_source, digest)
-        namespace = _native_namespace(library_path, emitter.kernels)
-        return NativeCompiledSDFG(
-            sdfg, source, load_driver(source, func_name, namespace, sdfg.name), result_names,
-            c_source=c_source, kernels=emitter.kernels, digest=digest,
-            library_path=library_path,
+    if find_c_compiler() is None:
+        raise NativeToolchainError(
+            "no C compiler on PATH (install cc/gcc/clang or set $REPRO_CC)"
         )
+    emitter = NativeSourceEmitter(sdfg, func_name, result_names)
+    source = emitter.generate()
+    if not emitter.kernels:
+        details = "; ".join(emitter.decline_reasons[:3]) or "no compute"
+        raise UnsupportedFeatureError(
+            f"cython backend: nothing in {sdfg.name!r} lowers to C ({details})"
+        )
+    c_source = render_c_source(emitter.kernels)
+    digest = source_digest(c_source)
+    library_path = ensure_shared_object(c_source, digest)
+    namespace = _native_namespace(library_path, emitter.kernels)
+    return NativeCompiledSDFG(
+        sdfg, source, load_driver(source, func_name, namespace, sdfg.name), result_names,
+        c_source=c_source, kernels=emitter.kernels, digest=digest,
+        library_path=library_path,
+    )

@@ -35,7 +35,6 @@ import argparse
 import dataclasses
 import random
 import sys
-import time
 from typing import Optional
 
 from repro.fuzz.corpus import CorpusEntry
@@ -57,6 +56,7 @@ from repro.fuzz.harness import (
 from repro.fuzz.render import render_repro_source
 from repro.fuzz.report import build_report, write_report
 from repro.fuzz.shrink import shrink
+from repro.obs.clock import monotonic
 
 #: Always-run anchors: cheapest and most aggressive tier, forward and grad.
 _ANCHORS = (
@@ -163,7 +163,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     generator = ProgramGenerator(args.seed)
     programs = generator.generate(args.programs)
     matrix = list(full_matrix())
-    started = time.time()
+    started = monotonic()
     outcomes: list[CaseOutcome] = []
     failures: list[tuple[FuzzProgram, CaseOutcome]] = []
 
@@ -189,7 +189,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                   f"ok={counts['ok']} skip={counts['skip']} "
                   f"fail={counts['fail']}", flush=True)
 
-    elapsed = time.time() - started
+    elapsed = monotonic() - started
     shrunk_info = []
     for program, outcome in failures[:args.max_failures]:
         print(f"\nFAIL {program.name} @ {outcome.config.label()}: "

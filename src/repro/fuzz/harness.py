@@ -67,9 +67,9 @@ TOLERANCES = {"float64": 1e-9, "float32": 1e-4}
 
 #: Exceptions that mean "this configuration is legitimately outside the
 #: supported subset" — recorded as skips, never as failures.  AutodiffError
-#: covers declared AD gaps (e.g. batched matmul against shared weights);
-#: NativeToolchainError-style declines surface as UnsupportedFeatureError
-#: via the backend registry.
+#: covers declared AD gaps (e.g. batched matmul against shared weights).
+#: A native-backend decline is no skip: the pipeline falls back to numpy
+#: and records it (``backend_fallback``).
 SKIP_EXCEPTIONS: tuple = (UnsupportedFeatureError,)
 try:  # AutodiffError is a declared limitation channel, not a crash.
     from repro.util.errors import AutodiffError
@@ -334,7 +334,7 @@ class DifferentialRunner:
         options = {
             "optimize": config.tier,
             "cache": self.cache,
-            "backend": config.backend if config.backend != "numpy" else None,
+            "backend": config.backend,
         }
         if config.mode == "forward":
             outcome = compile_forward(self.sdfg, **options)

@@ -1,8 +1,8 @@
 """Run metadata for fuzz campaigns, in the benchmark results envelope.
 
 Mirrors ``benchmarks/_common.write_results``: one JSON document per run
-with the environment block (interpreter, platform, NumPy, registered and
-available codegen backends, C toolchain), the generator seed, program and
+with the environment block (interpreter, platform, NumPy, C toolchain —
+:func:`repro.harness.report.environment_metadata`), the generator seed, program and
 configuration counts, outcome totals, and — crucially — a histogram of
 every recorded skip reason plus full detail for every failure.  "Zero
 unexplained divergences" is checkable from the report alone: ``counts.fail
@@ -13,30 +13,11 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import sys
 from collections import Counter
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.fuzz.harness import CaseOutcome
-
-
-def environment_metadata() -> dict:
-    """Machine/toolchain context of a fuzz run (same shape as benchmarks)."""
-    from repro.codegen import available_backends, registered_backends
-    from repro.codegen.cython_backend import find_c_compiler, toolchain_description
-
-    return {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "numpy": np.__version__,
-        "backends_registered": registered_backends(),
-        "backends_available": available_backends(),
-        "c_compiler": find_c_compiler(),
-        "c_toolchain": toolchain_description(),
-    }
+from repro.harness.report import environment_metadata
 
 
 def summarize(outcomes: Iterable[CaseOutcome]) -> dict:
@@ -82,4 +63,4 @@ def write_report(path: str, report: dict) -> str:
     return path
 
 
-__all__ = ["build_report", "environment_metadata", "summarize", "write_report"]
+__all__ = ["build_report", "summarize", "write_report"]

@@ -16,6 +16,7 @@ from repro.harness.runners import (
     run_kernel_comparison,
 )
 from repro.harness.report import (
+    environment_metadata,
     format_pipeline_report,
     format_table,
     geometric_mean,
@@ -37,6 +38,7 @@ __all__ = [
     "jaxlike_gradient_runner",
     "peak_bytes",
     "run_kernel_comparison",
+    "environment_metadata",
     "format_pipeline_report",
     "format_table",
     "geometric_mean",

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import Iterable, Optional, Sequence
+import platform
+import sys
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -126,6 +130,22 @@ def _cache_summary_lines() -> list[str]:
             f"{artifact_hits / artifact_total:.0%} hit rate"
         )
     return lines
+
+
+def environment_metadata() -> dict:
+    """Machine/toolchain context of a benchmark or fuzz run: interpreter,
+    platform, NumPy and the C toolchain.  The backends are always
+    ``"numpy"`` and ``"cython"``; the native one can build exactly when
+    ``c_compiler`` is not ``None``."""
+    from repro.codegen.cython_backend import find_c_compiler, toolchain_description
+
+    return {
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "numpy": np.__version__,
+        "c_compiler": find_c_compiler(),
+        "c_toolchain": toolchain_description(),
+    }
 
 
 def write_csv(path: str, headers: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -9,6 +9,10 @@ One clock, three consumers:
 * the repeated-measurement helper (:func:`repeat_timed`, backing
   ``repro.harness.measure``) uses it for benchmark loops.
 
+Serving deadlines, the ILP solve time and the fuzz campaign's elapsed
+time read it too: ``tests/test_obs.py`` fails on any other clock read in
+``repro``.
+
 ``time.perf_counter_ns`` is monotonic, never adjusted by NTP, and integer —
 no float rounding at nanosecond resolution.  Timestamps are only meaningful
 *within* one process; exporters (Chrome trace) treat them as offsets from an

@@ -90,13 +90,10 @@ class CostModelConfig:
         return (self.bytes_per_flop, self.assignment_passes)
 
     @classmethod
-    def for_backend(cls, backend: Optional[str]) -> "CostModelConfig":
-        """Knobs calibrated for one code-generation backend.
-
-        Unknown backend names get the NumPy defaults — a conservative
-        pricing that never over-fuses.
-        """
-        return cls(**BACKEND_COST_PRESETS.get(backend or "numpy", {}))
+    def for_backend(cls, backend: str) -> "CostModelConfig":
+        """Knobs calibrated for one code-generation backend, by canonical
+        name (``repro.codegen.resolve_backend``)."""
+        return cls(**BACKEND_COST_PRESETS[backend])
 
 
 #: Per-backend calibration of :class:`CostModelConfig` (see docs/backends.md
@@ -110,7 +107,6 @@ class CostModelConfig:
 BACKEND_COST_PRESETS: dict[str, dict] = {
     "numpy": {"bytes_per_flop": 24.0, "assignment_passes": 2},
     "cython": {"bytes_per_flop": 0.75, "assignment_passes": 1},
-    "native": {"bytes_per_flop": 0.75, "assignment_passes": 1},
 }
 
 

@@ -5,7 +5,11 @@ the cache maps a compilation request to the finished
 :class:`~repro.codegen.CompiledSDFG` (plus the pipeline report and artifacts
 such as the AD result), so repeated ``repro.compile`` / ``repro.grad`` calls
 on an unchanged program skip parsing, simplification, AD and code emission
-entirely.  Entries are evicted LRU beyond ``maxsize``.
+entirely.  Entries are evicted LRU beyond ``maxsize``.  Every key is
+reusable: fingerprints are built from values with a stable form
+(:func:`stable_repr` raises ``TypeError`` for anything else), and the
+backend is keyed by its canonical name, so ``backend=None`` and
+``"numpy"`` share one entry.
 
 Besides the per-instance :class:`CacheStats`, every lookup also feeds the
 process-wide metrics registry (``cache.hits`` / ``cache.misses`` /
@@ -18,8 +22,6 @@ observability snapshot (``repro.obs.metrics_snapshot()``) and in
 from __future__ import annotations
 
 import functools
-import itertools
-import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -33,69 +35,31 @@ _OBS_MISSES = METRICS.counter("cache.misses")
 _OBS_DISK_HITS = METRICS.counter("cache.disk_hits")
 _OBS_SPILLS = METRICS.counter("cache.spills")
 
-_MISS_COUNTER = itertools.count()
 
-
-def unique_token() -> str:
-    """A process-unique token for values without a stable representation.
-
-    Embedding it in a fingerprint forces a cache *miss* (each call yields a
-    new token).  Unlike ``id()``, tokens are never reused, so they cannot
-    produce a false hit after an address is recycled.
-    """
-    return f"@miss:{next(_MISS_COUNTER)}"
-
-
-_MISS_TOKEN_RE = re.compile(r"@miss:\d+\Z")
-
-
-def contains_miss_token(key) -> bool:
-    """True if ``key`` embeds a :func:`unique_token` marker.
-
-    Such a key can never be looked up again (each token is minted once), so
-    storing an entry under it would only evict reusable entries and pin dead
-    compiled objects in memory.  Tokens always appear as standalone key
-    elements, so exact matching cannot false-positive on user strings (whose
-    :func:`stable_repr` form is quoted).
-    """
-    if isinstance(key, str):
-        return _MISS_TOKEN_RE.fullmatch(key) is not None
-    if isinstance(key, (tuple, list)):
-        return any(contains_miss_token(item) for item in key)
-    return False
-
-
-def stable_repr(value) -> Optional[str]:
+def stable_repr(value) -> str:
     """A deterministic string form of ``value`` for cache fingerprints.
 
     Covers primitives (including NumPy scalars) and (nested) containers of
-    primitives; returns ``None`` for anything without a stable representation
-    (callers either drop such values or key them with :func:`unique_token`).
+    primitives; anything else raises ``TypeError``, so a value that cannot
+    be keyed is rejected where it is fingerprinted instead of compiling
+    under a key that can never hit.
     """
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return repr(value)
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return f"{type(value).__name__}({value.item()!r})"
     if isinstance(value, (list, tuple)):
-        parts = [stable_repr(item) for item in value]
-        if any(part is None for part in parts):
-            return None
-        return "[" + ",".join(parts) + "]"
+        return "[" + ",".join(stable_repr(item) for item in value) + "]"
     if isinstance(value, (set, frozenset)):
-        parts = [stable_repr(item) for item in value]
-        if any(part is None for part in parts):
-            return None
-        return "{" + ",".join(sorted(parts)) + "}"
+        return "{" + ",".join(sorted(stable_repr(item) for item in value)) + "}"
     if isinstance(value, dict):
-        parts = []
-        for key, item in value.items():
-            rendered_key = stable_repr(key)
-            rendered_item = stable_repr(item)
-            if rendered_key is None or rendered_item is None:
-                return None
-            parts.append(f"{rendered_key}:{rendered_item}")
-        return "{" + ",".join(sorted(parts)) + "}"
-    return None
+        return "{" + ",".join(sorted(
+            f"{stable_repr(key)}:{stable_repr(item)}" for key, item in value.items()
+        )) + "}"
+    raise TypeError(
+        f"{value!r} has no stable form for the compilation cache; use numbers, "
+        "strings, None and lists/tuples/sets/dicts of them"
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +131,7 @@ class CompilationCache:
     loading the spilled entry — so a warm *process start* skips parsing,
     simplification, AD and code emission, not just a warm call.  Disk loads
     count as ``stats.disk_hits``.  Entries whose artifacts cannot be
-    pickled (foreign strategy objects, open handles) are simply not
+    pickled (instances of local classes, open handles) are simply not
     spilled; correctness never depends on persistence.  Only point
     ``persist_dir`` at a directory you trust — loading an entry executes
     its pickled source.

@@ -28,13 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
+from repro.codegen.compiled import resolve_backend
 from repro.ir import SDFG
-from repro.pipeline.cache import (
-    DEFAULT_CACHE,
-    CacheEntry,
-    CompilationCache,
-    contains_miss_token,
-)
+from repro.pipeline.cache import DEFAULT_CACHE, CacheEntry, CompilationCache
 from repro.pipeline.manager import PassManager, PipelineReport
 from repro.pipeline.pass_base import Pass, PassContext, PipelineError, as_passes
 from repro.pipeline.stages import (
@@ -46,6 +44,7 @@ from repro.pipeline.stages import (
     GlobalValueNumbering,
     MapFusion,
     MemoryPlanning,
+    check_strategy,
 )
 
 #: The optimization levels.  ``O0`` compiles the program as written;
@@ -59,9 +58,7 @@ from repro.pipeline.stages import (
 OPT_LEVELS = ("O0", "O1", "O2", "O3")
 
 
-def _tier_passes(
-    optimize: str, keep: tuple, gradient: bool, backend: Optional[str]
-) -> list[Pass]:
+def _tier_passes(optimize: str, keep: tuple, gradient: bool, backend: str) -> list[Pass]:
     """The simplification stages of one level.  ``keep`` names containers
     later stages need even when they look dead or mergeable (gradient
     targets, result names).  All of them run before AD, so gradients are
@@ -113,7 +110,9 @@ def build_pipeline(
 
     ``extra_passes`` (:class:`Pass` instances) are inserted after
     simplification and before AD/codegen.  ``backend``
-    selects the code generator (``None`` = numpy) — it configures both the
+    selects the code generator (``None`` / ``"numpy"`` or ``"cython"`` /
+    ``"native"``, resolved to its canonical name so every spelling builds
+    the same pipeline) — it configures both the
     terminal codegen stage and, at ``"O3"``, the cost model that prices
     fusions (native loops make recompute far cheaper; see docs/backends.md).
     Every tier but ``"O0"`` runs liveness-driven buffer reuse after AD
@@ -123,6 +122,7 @@ def build_pipeline(
         raise PipelineError(
             f"Unknown optimization level {optimize!r}; options: {sorted(OPT_LEVELS)}"
         )
+    backend = resolve_backend(backend)
     # Containers downstream stages will need: simplification must not delete
     # them even when they are dead w.r.t. the program's return value.
     keep = tuple(
@@ -186,11 +186,6 @@ def run_pipeline(
     key = None
     if use_cache is not None:
         key = (sdfg.content_hash(), manager.fingerprint(), ctx.fingerprint())
-        if contains_miss_token(key):
-            # A miss token makes the key un-reusable: compiling without
-            # touching the cache beats evicting good entries for dead ones.
-            use_cache = None
-    if use_cache is not None:
         entry = use_cache.lookup(key)
         if entry is not None:
             report = PipelineReport(
@@ -243,6 +238,18 @@ _GRADIENT_ONLY = ("wrt", "output", "checkpointing", "return_value")
 _NOT_IN_KEY = {"cache_key": False}
 
 
+def _symbol_value(name: str, value):
+    """A compile-time symbol binding as a plain int, float or bool (NumPy
+    scalars are unwrapped); anything else raises ``TypeError``."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if not isinstance(value, (int, float, bool)):
+        raise TypeError(
+            f"symbol_values[{name!r}] must be an int, float or bool, got {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class CompileOptions:
     """The knobs of one compilation request — the single definition every
@@ -250,10 +257,14 @@ class CompileOptions:
     builds from its keywords.  The field table (default, effect, "in cache
     key?") is in docs/architecture.md.
 
-    Construction normalises (``wrt`` / ``result_names`` become tuples,
-    ``symbol_values`` a sorted item tuple), so instances are hashable,
-    comparable and ``dataclasses.replace``-able; :meth:`from_keywords`
-    rejects unknown keywords.
+    Construction normalises (``backend`` becomes its canonical name,
+    ``wrt`` / ``result_names`` become tuples, ``symbol_values`` a sorted
+    item tuple of plain numbers), so instances are hashable, comparable and
+    ``dataclasses.replace``-able, and every spelling of one request has one
+    cache key.  It also rejects what cannot be keyed: an unknown backend
+    (``CodegenError``), a ``checkpointing`` that is not a strategy instance
+    and a symbol value that is not an int, float or bool (``TypeError``).
+    :meth:`from_keywords` rejects unknown keywords.
     """
 
     optimize: str = "O1"
@@ -275,10 +286,16 @@ class CompileOptions:
                 return None
             return (value,) if isinstance(value, str) else tuple(value)
 
+        symbols = {
+            name: _symbol_value(name, value)
+            for name, value in dict(self.symbol_values or ()).items()
+        }
+        check_strategy(self.checkpointing)
         for name, value in (
+            ("backend", resolve_backend(self.backend)),
             ("wrt", names(self.wrt)),
             ("result_names", names(self.result_names)),
-            ("symbol_values", tuple(sorted(dict(self.symbol_values or ()).items()))),
+            ("symbol_values", tuple(sorted(symbols.items()))),
             ("extra_passes", as_passes(self.extra_passes or ())),
         ):
             object.__setattr__(self, name, value)

@@ -51,20 +51,13 @@ class PassContext:
         self.info[key] = value
 
     def fingerprint(self) -> tuple:
-        """Cache-relevant part of the context (symbol bindings and options).
-
-        Values without a stable representation are keyed by a process-unique
-        token, which forces a cache miss rather than risking a false hit.
-        """
-        from repro.pipeline.cache import stable_repr, unique_token
-
-        def rendered(value) -> str:
-            stable = stable_repr(value)
-            return stable if stable is not None else unique_token()
+        """Cache-relevant part of the context (symbol bindings and options);
+        a value without a stable form raises ``TypeError``."""
+        from repro.pipeline.cache import stable_repr
 
         return (
-            tuple(sorted((k, rendered(v)) for k, v in self.symbol_values.items())),
-            tuple(sorted((k, rendered(v)) for k, v in self.options.items())),
+            tuple(sorted((k, stable_repr(v)) for k, v in self.symbol_values.items())),
+            tuple(sorted((k, stable_repr(v)) for k, v in self.options.items())),
         )
 
 

@@ -13,12 +13,13 @@ frontend-to-binary flow is one ordered pipeline:
 * :class:`MemoryPlanning` — liveness-driven buffer reuse for transients,
   run *after* AD (gradient containers protected) and just before codegen,
   at every tier but O0;
-* :class:`CheckpointingSelection` — resolves the user's checkpointing spec
-  (strategy instance or name) into the strategy the AD stage consumes;
+* :class:`CheckpointingSelection` — hands the user's checkpointing
+  strategy (an instance, or ``None`` for store-all) to the AD stage;
 * :class:`Autodiff` — reverse-mode differentiation
   (:func:`repro.autodiff.add_backward_pass`);
-* :class:`Codegen` — the terminal stage, emitting and compiling NumPy code
-  via :func:`repro.codegen.compile_sdfg`.
+* :class:`Codegen` — the terminal stage, emitting and compiling code on
+  the ``"numpy"`` or ``"cython"`` backend via
+  :func:`repro.codegen.compile_sdfg`.
 
 Heavy imports happen inside ``apply`` to keep the package import-cycle free
 (``autodiff`` itself imports the pipeline driver for its public API).
@@ -29,8 +30,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.ir import SDFG
-from repro.pipeline.cache import stable_repr, unique_token
-from repro.pipeline.pass_base import Pass, PassContext, PipelineError
+from repro.pipeline.pass_base import Pass, PassContext
 
 
 class ConstantBranchPruning(Pass):
@@ -163,7 +163,7 @@ class MapFusion(Pass):
     land in the pipeline report (``fused_stencil``, ``declined_gradient``,
     ...).
 
-    ``backend`` calibrates the pricing through
+    ``backend`` (a canonical name) calibrates the pricing through
     ``CostModelConfig.for_backend(backend)`` — native loops keep recomputed
     values in registers, so recompute is priced far cheaper than under the
     interpreted NumPy backend (see docs/cost-model.md).
@@ -176,7 +176,7 @@ class MapFusion(Pass):
         extra_keep: Sequence[str] = (),
         cost_driven: bool = False,
         gradient_aware: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "numpy",
     ) -> None:
         self.extra_keep = tuple(extra_keep)
         self.cost_driven = cost_driven
@@ -221,28 +221,25 @@ class MapFusion(Pass):
 
 
 class CheckpointingSelection(Pass):
-    """Resolve the checkpointing spec into a strategy on the context.
-
-    Accepts a :class:`~repro.checkpointing.CheckpointingStrategy` instance,
-    one of the names ``"store_all"`` / ``"recompute_all"``, or ``None`` (the
-    store-all default).
-    """
+    """Put the checkpointing strategy on the context for the AD stage: a
+    :class:`~repro.checkpointing.CheckpointingStrategy` instance, or
+    ``None`` (the store-all default)."""
 
     name = "checkpointing-selection"
 
-    def __init__(self, spec=None) -> None:
-        self.spec = spec
+    def __init__(self, strategy=None) -> None:
+        self.strategy = check_strategy(strategy)
 
     def apply(self, sdfg: SDFG, ctx: PassContext) -> SDFG:
-        ctx.strategy = _resolve_strategy(self.spec)
+        ctx.strategy = self.strategy
         ctx.note(
             "strategy",
-            type(ctx.strategy).__name__ if ctx.strategy is not None else "store_all",
+            type(self.strategy).__name__ if self.strategy is not None else "store_all",
         )
         return sdfg
 
     def fingerprint(self) -> tuple:
-        return (self.name, strategy_fingerprint(self.spec))
+        return (self.name, strategy_fingerprint(self.strategy))
 
 
 class Autodiff(Pass):
@@ -286,15 +283,15 @@ class Codegen(Pass):
     """Terminal stage: emit + compile executable code through the selected
     backend, stash the :class:`CompiledSDFG` under ``ctx.artifacts["compiled"]``.
 
-    ``backend`` names a registered code generator (``None`` = the numpy
-    default; see :mod:`repro.codegen.backend`).  A non-default backend that
+    ``backend`` is a canonical name, ``"numpy"`` or ``"cython"``
+    (``build_pipeline`` resolves aliases).  When the native build
     *declines* the program — :class:`UnsupportedFeatureError` from its
-    emitter, or a missing C toolchain — triggers a clean per-program
-    fallback to the numpy backend; the report records both the backend that
+    emitter, or a missing C toolchain — the stage falls back to the numpy
+    backend for this program; the report records both the backend that
     actually ran (``backend``) and the fallback event (``backend_fallback``,
     e.g. ``cython→numpy: UnsupportedFeatureError(...)``).  The backend name
-    is part of the pass fingerprint, so the same program compiled under two
-    backends occupies two distinct compilation-cache entries.
+    is part of the pass fingerprint, so the same program compiled under the
+    two backends occupies two compilation-cache entries.
     """
 
     name = "codegen"
@@ -304,7 +301,7 @@ class Codegen(Pass):
         func_name: Optional[str] = None,
         result_names: Optional[list[str]] = None,
         return_value: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "numpy",
     ) -> None:
         self.func_name = func_name
         self.result_names = result_names
@@ -329,8 +326,7 @@ class Codegen(Pass):
                 ]
                 if self.return_value:
                     result_names = result_names + [backward.output]
-        with _span("codegen.build", sdfg=sdfg.name,
-                   backend=self.backend or "numpy") as sp:
+        with _span("codegen.build", sdfg=sdfg.name, backend=self.backend) as sp:
             compiled = self._compile(sdfg, ctx, func_name, result_names)
             sp.set(ran_backend=compiled.backend)
         ctx.artifacts["compiled"] = compiled
@@ -340,14 +336,8 @@ class Codegen(Pass):
 
     def _compile(self, sdfg: SDFG, ctx: PassContext, func_name, result_names):
         from repro.codegen import compile_sdfg
-        from repro.util.errors import UnsupportedFeatureError
-
-        if self.backend in (None, "numpy"):
-            return compile_sdfg(
-                sdfg, func_name=func_name, result_names=result_names,
-                backend=self.backend,
-            )
         from repro.codegen.cython_backend.build import NativeToolchainError
+        from repro.util.errors import UnsupportedFeatureError
 
         try:
             return compile_sdfg(
@@ -355,6 +345,8 @@ class Codegen(Pass):
                 backend=self.backend,
             )
         except (UnsupportedFeatureError, NativeToolchainError) as exc:
+            if self.backend == "numpy":
+                raise
             message = str(exc)
             if len(message) > 200:
                 message = message[:200] + "..."
@@ -377,44 +369,26 @@ class Codegen(Pass):
         )
 
 
-def _resolve_strategy(spec):
-    """Spec -> strategy instance (``None`` means the store-all default)."""
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        from repro.checkpointing import RecomputeAll, StoreAll
+def check_strategy(strategy):
+    """``strategy`` if it is ``None`` or a
+    :class:`~repro.checkpointing.CheckpointingStrategy` instance; a name or
+    a duck-typed object raises ``TypeError``."""
+    if strategy is None:
+        return None  # before the import: repro.checkpointing loads SciPy's solver
+    from repro.checkpointing import CheckpointingStrategy
 
-        named = {"store_all": StoreAll, "recompute_all": RecomputeAll}
-        if spec not in named:
-            raise PipelineError(
-                f"Unknown checkpointing strategy {spec!r}; options: {sorted(named)} "
-                "or a CheckpointingStrategy instance"
-            )
-        return named[spec]()
-    if hasattr(spec, "decide"):
-        return spec
-    raise PipelineError(f"Cannot use {spec!r} as a checkpointing strategy")
+    if not isinstance(strategy, CheckpointingStrategy):
+        raise TypeError(
+            f"checkpointing must be None or a CheckpointingStrategy instance, got "
+            f"{strategy!r}; e.g. repro.checkpointing.RecomputeAll(), or subclass "
+            "CheckpointingStrategy and give it a cache_fingerprint()"
+        )
+    return strategy
 
 
-def strategy_fingerprint(spec) -> tuple:
-    """Cache-key identity of a checkpointing spec.
-
-    Strategies define ``cache_fingerprint()`` covering their configuration
-    (the :class:`CheckpointingStrategy` hierarchy does).  For foreign objects
-    without one, attributes are fingerprinted via :func:`stable_repr`; any
-    attribute lacking a stable representation gets a process-unique token,
-    forcing a cache miss rather than risking a false hit between two
-    configurations the fingerprint cannot distinguish.
-    """
-    if spec is None:
+def strategy_fingerprint(strategy) -> tuple:
+    """Cache-key identity of a checkpointing strategy: its class and its
+    ``cache_fingerprint()``, which covers its configuration."""
+    if strategy is None:
         return ("store_all",)
-    if isinstance(spec, str):
-        return (spec,)
-    custom = getattr(spec, "cache_fingerprint", None)
-    if callable(custom):
-        return (type(spec).__qualname__, custom())
-    attrs = tuple(
-        (key, stable_repr(value) or unique_token())
-        for key, value in sorted(vars(spec).items())
-    )
-    return (type(spec).__qualname__, attrs)
+    return (type(strategy).__qualname__, strategy.cache_fingerprint())

@@ -185,7 +185,8 @@ def numpy_fallback(program, optimize: str = "O1", **options) -> Callable:
     Returns a callable that, on first use, compiles ``program`` through the
     existing ``backend="numpy"`` pipeline path (``program.compile`` — works
     for :class:`~repro.batching.BatchedProgram` and plain programs alike;
-    usually a warm cache hit) and serves it from then on.  ``options`` are
+    a cache hit when the program was compiled before with the default
+    backend and the same options) and serves it from then on.  ``options`` are
     :class:`~repro.pipeline.CompileOptions` fields (docs/architecture.md);
     ``backend`` is always forced to ``"numpy"``.  Compilation is deferred so
     a breaker that never trips never pays for the fallback.

@@ -30,10 +30,10 @@ or fail them) and finally by ``drain()``.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Optional
 
+from repro.obs.clock import monotonic
 from repro.serve.errors import QueueFullError
 
 #: The recognised backpressure policies.
@@ -102,7 +102,7 @@ class PendingQueue:
         is both closed and empty.  Items enqueued *before* ``close()`` are
         still returned, so the worker serves or fails them deterministically.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None if timeout is None else monotonic() + timeout
         with self._cond:
             while True:
                 if self._items and not self._held:
@@ -114,7 +114,7 @@ class PendingQueue:
                 if deadline is None:
                     self._cond.wait()
                 else:
-                    remaining = deadline - time.monotonic()
+                    remaining = deadline - monotonic()
                     if remaining <= 0:
                         raise Empty
                     self._cond.wait(remaining)

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.obs.clock import monotonic_ns
+from repro.obs.clock import monotonic, monotonic_ns
 from repro.obs.metrics import METRICS, Histogram
 from repro.obs.trace import TRACER, span as _span
 from repro.serve.errors import DeadlineExceeded, QueueFullError, RequestCancelled
@@ -397,10 +397,10 @@ class BatchQueue:
             if not self._admit(item):
                 continue
             batch = [item]
-            deadline = time.monotonic() + self.max_wait_ms / 1e3
+            deadline = monotonic() + self.max_wait_ms / 1e3
             closing = False
             while len(batch) < self.max_batch:
-                timeout = deadline - time.monotonic()
+                timeout = deadline - monotonic()
                 try:
                     if timeout > 0:
                         extra = self._pending.get(timeout=timeout)

@@ -1,6 +1,6 @@
 """Tests for the pluggable code-generation backends.
 
-Covers the backend registry, the native ("cython") backend's correctness
+Covers the two backend names, the native ("cython") backend's correctness
 against the NumPy backend, the automatic per-program fallback, cache
 integration (distinct fingerprints per backend, persist_dir artifact
 round-trip) and the backend-aware cost-model presets.  The cross-backend
@@ -15,24 +15,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.codegen import (
-    Backend,
-    available_backends,
-    compile_sdfg,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
-from repro.codegen.backend import _REGISTRY
+from repro.codegen import compile_sdfg, resolve_backend
 from repro.codegen.cython_backend import (
-    CythonBackend,
     NativeCompiledSDFG,
     NativeToolchainError,
     find_c_compiler,
 )
 from repro.ir import SDFG, LibraryCall, Memlet
 from repro.passes.cost import CostModelConfig
-from repro.pipeline import CompilationCache, compile_forward
+from repro.pipeline import CompilationCache, CompileOptions, build_pipeline, compile_forward
 from repro.pipeline.stages import MapFusion
 from repro.symbolic import Sym
 from repro.util.errors import CodegenError, UnsupportedFeatureError
@@ -86,45 +77,29 @@ def make_softmax_sdfg():
     return sdfg
 
 
-class TestRegistry:
+class TestBackendNames:
     def test_default_backend_is_numpy(self):
-        assert get_backend(None).name == "numpy"
-        assert get_backend("numpy").name == "numpy"
+        assert resolve_backend(None) == resolve_backend("numpy") == "numpy"
+        assert CompileOptions().backend == "numpy"
+        compiled = compile_forward(make_loop_program(), "O1", cache=False).compiled
+        assert compiled.backend == "numpy"
 
-    def test_builtin_backends_registered(self):
-        names = registered_backends()
-        assert "numpy" in names
-        assert "cython" in names
-        assert "native" in names  # honest alias: the emitted language is C
+    def test_native_alias_resolves_to_cython(self):
+        # Honest alias: the emitted language is C.
+        assert resolve_backend("native") == resolve_backend("cython") == "cython"
+        assert CompileOptions(backend="native") == CompileOptions(backend="cython")
+        assert (build_pipeline("O3", backend="native").fingerprint()
+                == build_pipeline("O3", backend="cython").fingerprint())
 
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_unknown_backend_error_lists_options(self):
-        with pytest.raises(CodegenError, match="cython"):
-            get_backend("llvm")
-
-    def test_register_custom_backend(self):
-        class Dummy(Backend):
-            name = "dummy-test"
-
-            def compile(self, sdfg, func_name, result_names):
-                raise UnsupportedFeatureError("dummy declines everything")
-
-        register_backend("dummy-test", Dummy())
-        try:
-            assert get_backend("dummy-test").name == "dummy-test"
-            assert "dummy-test" in registered_backends()
-        finally:
-            _REGISTRY.pop("dummy-test", None)
-
-    def test_cython_backend_reports_toolchain(self):
-        backend = get_backend("cython")
-        assert isinstance(backend, CythonBackend)
-        if HAVE_TOOLCHAIN:
-            assert backend.is_available()
-        else:
-            assert "compiler" in backend.unavailable_reason()
+    @pytest.mark.parametrize("build", [
+        lambda: CompileOptions(backend="llvm"),
+        lambda: build_pipeline("O1", backend="llvm"),
+        lambda: compile_sdfg(make_loop_program().to_sdfg(), backend="llvm"),
+        lambda: compile_forward(make_loop_program(), backend="llvm", cache=False),
+    ], ids=["CompileOptions", "build_pipeline", "compile_sdfg", "compile_forward"])
+    def test_unknown_backend_error_lists_options(self, build):
+        with pytest.raises(CodegenError, match=r"'llvm'.*'cython', 'native', 'numpy'"):
+            build()
 
 
 @needs_toolchain
@@ -301,19 +276,13 @@ class TestBackendAwareCostModel:
         assert native_cfg.bytes_per_flop < numpy_cfg.bytes_per_flop
         assert native_cfg.assignment_passes < numpy_cfg.assignment_passes
 
-    def test_default_and_alias_presets(self):
-        assert CostModelConfig.for_backend(None) == CostModelConfig.for_backend("numpy")
-        assert CostModelConfig.for_backend("native") == CostModelConfig.for_backend("cython")
-
     def test_map_fusion_fingerprint_depends_on_backend(self):
         # Backend-calibrated pricing only engages in the cost-driven (O3)
         # configuration, so only there must the fingerprint split.
         assert (
             MapFusion(cost_driven=True, backend="cython").fingerprint()
-            != MapFusion(cost_driven=True, backend=None).fingerprint()
+            != MapFusion(cost_driven=True).fingerprint()
         )
-        # Aliases price alike, so they share one cache entry.
         assert (
-            MapFusion(cost_driven=True, backend="native").fingerprint()
-            == MapFusion(cost_driven=True, backend="cython").fingerprint()
+            MapFusion(backend="cython").fingerprint() == MapFusion().fingerprint()
         )

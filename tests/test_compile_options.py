@@ -1,6 +1,8 @@
 """One compile request: every entry point accepts every ``CompileOptions``
-field, every key field lands in the cache key, and the per-object memo
-compares whole requests (``docs/architecture.md`` has the field table)."""
+field, every key field lands in the cache key, every spelling of one request
+has one key, what cannot be keyed is rejected when it is built, and the
+per-object memo compares whole requests (``docs/architecture.md`` has the
+field table)."""
 
 import dataclasses
 
@@ -8,18 +10,26 @@ import numpy as np
 import pytest
 
 import repro
+from repro.batching import Vmap
+from repro.checkpointing import ILPCheckpointing, RecomputeAll, StoreAll
 from repro.harness import dace_gradient_runner
 from repro.npbench import get_kernel
 from repro.pipeline import (
     CompilationCache,
     CompileOptions,
     Pass,
+    PassContext,
     PipelineError,
+    build_pipeline,
     compile_forward,
     compile_gradient,
     compile_request,
+    run_pipeline,
+    to_sdfg,
 )
+from repro.pipeline.cache import stable_repr
 from repro.serve import numpy_fallback
+from repro.util.errors import CodegenError
 
 N = repro.symbol("N")
 X = np.linspace(0.5, 1.5, 4)
@@ -47,8 +57,8 @@ def _program():
 #: return container, which exists in every program compiled below.
 FIELD_VALUES = {
     "optimize": "O2",
-    "backend": "numpy",
-    "checkpointing": "recompute_all",
+    "backend": "cython",
+    "checkpointing": RecomputeAll(),
     "wrt": "A",
     "output": "__return",
     "return_value": True,
@@ -121,13 +131,13 @@ class TestEveryAdapterTakesEveryField:
             ADAPTERS[adapter][0](no_such_knob=1)
 
     def test_strategy_is_the_alias_of_checkpointing_on_the_ad_api(self):
-        f = _program()
-        df = repro.grad(f, wrt="A", strategy="recompute_all", cache=False)
-        assert df.options.checkpointing == "recompute_all"
+        f, strategy = _program(), RecomputeAll()
+        df = repro.grad(f, wrt="A", strategy=strategy, cache=False)
+        assert df.options.checkpointing is strategy
         with pytest.raises(TypeError, match="not both"):
-            repro.grad(f, strategy="store_all", checkpointing="store_all")
+            repro.grad(f, strategy=StoreAll(), checkpointing=StoreAll())
         with pytest.raises(TypeError):
-            compile_forward(f, strategy="store_all")
+            compile_forward(f, strategy=StoreAll())
 
 
 class TestCompileOptions:
@@ -175,6 +185,63 @@ class TestCompileOptions:
             sdfg, dataclasses.replace(CompileOptions(cache=cache), **{field: value}),
             gradient=False)
         assert again.key == first.key
+
+
+class TestOneRequestOneKey:
+    def test_four_backend_spellings_give_two_entries(self):
+        f, cache = _program(), CompilationCache()
+        for backend in (None, "numpy", "cython", "native"):
+            compile_gradient(f, wrt="A", optimize="O1", backend=backend, cache=cache)
+        assert len(cache) == 2
+        assert cache.stats.misses == 2 and cache.stats.hits == 2
+
+    def test_numpy_fallback_after_a_default_compile_is_a_hit(self):
+        f, cache = _program(), CompilationCache()
+        f.compile("O1", cache=cache)
+        fallback = numpy_fallback(f, "O1", cache=cache)
+        assert fallback(A=X.copy()) == pytest.approx(np.sum(np.sin(X) * X))
+        assert cache.stats.misses == 1 and len(cache) == 1
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_hand_built_pipeline_then_compile_gradient_hits(self, backend):
+        """The traced sweep of the ``compile_cold`` benchmark: a pipeline
+        built by hand with a bare context, then the public call."""
+        f, cache = _program(), CompilationCache()
+        options = {"wrt": ["A"], "output": None, "return_value": False}
+        cold = run_pipeline(to_sdfg(f), build_pipeline("O3", gradient=True, wrt=["A"]),
+                            PassContext(options=options), cache=cache)
+        again = compile_gradient(f, wrt=["A"], optimize="O3", backend=backend,
+                                 cache=cache)
+        assert again.cache_hit and again.compiled is cold.compiled
+
+    def test_numpy_scalar_symbol_values_become_plain_numbers(self):
+        options = CompileOptions(symbol_values={"N": np.int64(4), "s": np.float32(0.5)})
+        assert options.symbol_values == (("N", 4), ("s", 0.5))
+        assert type(dict(options.symbol_values)["N"]) is int
+        assert options == CompileOptions(symbol_values={"N": 4, "s": 0.5})
+
+    @pytest.mark.parametrize("build", [
+        lambda: CompileOptions(checkpointing="store_all"),
+        lambda: repro.grad(_program(), wrt="A", checkpointing="recompute_all"),
+        lambda: CompileOptions(checkpointing=type("Duck", (), {
+            "decide": lambda self, sdfg, candidates: {}})()),
+        lambda: CompileOptions(symbol_values={"N": object()}),
+        lambda: CompileOptions(symbol_values={"N": "4"}),
+        lambda: ILPCheckpointing(20, symbol_values={"N": 2.5}),
+        lambda: Vmap(in_axes=object()),
+        lambda: stable_repr(object()),
+    ], ids=["strategy-name", "strategy-name-grad", "duck-typed-strategy",
+            "object-symbol", "string-symbol", "ilp-float-symbol", "vmap-axes",
+            "stable-repr"])
+    def test_unkeyable_values_are_rejected_when_built(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_unknown_backend_raises_before_any_pass_runs(self):
+        with pytest.raises(CodegenError, match="llvm"):
+            CompileOptions(backend="llvm")
+        with pytest.raises(CodegenError, match="llvm"):
+            repro.grad(_program(), wrt="A", backend="llvm")
 
 
 class TestMemoComparesWholeRequests:

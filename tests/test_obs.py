@@ -542,3 +542,25 @@ class TestEndToEnd:
         waits = snapshot["histograms"]["serve.wait_seconds"]
         assert waits["count"] >= 4 and "p50" in waits and "p99" in waits
         assert queue.stats.wait_p99 >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one clock
+# ---------------------------------------------------------------------------
+def test_every_clock_read_goes_through_obs_clock():
+    """``repro.obs.clock`` is the one clock: no other module of ``repro``
+    reads ``time.time``, ``time.perf_counter*`` or ``time.monotonic*``
+    (``time.sleep`` is not a clock read)."""
+    import pathlib
+    import re
+
+    root = pathlib.Path(repro.__file__).resolve().parent
+    clock_read = re.compile(r"\btime\.(time|perf_counter|monotonic)\w*")
+    offenders = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).as_posix() != "obs/clock.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if clock_read.search(line)
+    ]
+    assert not offenders, "\n".join(offenders)

@@ -10,7 +10,12 @@ import pytest
 
 import repro
 from repro.autodiff import add_backward_pass
-from repro.checkpointing import ILPCheckpointing, RecomputeAll, StoreAll
+from repro.checkpointing import (
+    CheckpointingStrategy,
+    ILPCheckpointing,
+    RecomputeAll,
+    StoreAll,
+)
 from repro.codegen import compile_sdfg
 from repro.npbench import get_kernel
 from repro.pipeline import (
@@ -214,34 +219,23 @@ class TestCompilationCache:
                                 cache=cache)
         assert warm.compiled is cold.compiled and warm.cache_hit
 
-    def test_unstable_foreign_strategy_forces_miss_not_false_hit(self):
-        class Weird:
-            def __init__(self):
-                self.payload = object()   # no stable repr
+    def test_ilp_symbol_values_become_ints(self):
+        strategy = ILPCheckpointing(memory_limit_mib=8.0,
+                                    symbol_values={"N": np.int64(64)})
+        assert strategy.symbol_values == {"N": 64}
+        assert type(strategy.symbol_values["N"]) is int
+        assert strategy_fingerprint(strategy) == strategy_fingerprint(
+            ILPCheckpointing(memory_limit_mib=8.0, symbol_values={"N": 64}))
 
-            def decide(self, sdfg, candidates):
-                return {c.key: "store" for c in candidates}
-
-        a, b = Weird(), Weird()
-        assert strategy_fingerprint(a) != strategy_fingerprint(b)
-        # Even the same instance re-fingerprints differently: always a miss.
-        assert strategy_fingerprint(a) != strategy_fingerprint(a)
-
-    def test_unhittable_keys_are_not_stored(self):
-        class Weird:
-            def __init__(self):
-                self.payload = object()
-
-            def decide(self, sdfg, candidates):
-                return {c.key: "store" for c in candidates}
+    def test_subclass_strategy_is_keyed_and_hits(self):
+        class StoreEverything(CheckpointingStrategy):
+            pass
 
         cache = CompilationCache()
-        program = make_program()
-        for _ in range(3):
-            compile_gradient(program, wrt="A", checkpointing=Weird(), cache=cache)
-        # The keys can never be looked up again; storing them would only
-        # evict reusable entries.
-        assert len(cache) == 0
+        for _ in range(2):
+            compile_gradient(make_program(), wrt="A",
+                             checkpointing=StoreEverything(), cache=cache)
+        assert len(cache) == 1 and cache.stats.hits == 1
 
     def test_warm_compile_replays_ilp_last_report(self):
         @repro.program
@@ -387,7 +381,7 @@ class TestTopLevelAPI:
 
     def test_repro_compile_with_checkpointing_spec(self):
         df = repro.compile(
-            make_program(), gradient=True, checkpointing="recompute_all",
+            make_program(), gradient=True, checkpointing=RecomputeAll(),
             cache=CompilationCache(),
         )
         A = np.linspace(0.5, 1.5, 9)
@@ -403,7 +397,7 @@ class TestTopLevelAPI:
         assert second.cache_hit
 
     def test_unknown_checkpointing_name_rejected(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(TypeError, match="CheckpointingStrategy instance"):
             repro.compile(make_program(), gradient=True, checkpointing="bogus",
                           cache=False)
 
