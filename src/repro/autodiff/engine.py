@@ -39,8 +39,10 @@ class BackwardPassResult:
     activity:
         The CCS analysis (useful for inspection and tests).
     storage:
-        The storage planner (exposes required values, candidates and
-        resolutions - the ILP benchmarks read costs from here).
+        The storage planner: ``required`` lists every forward value a rule
+        reads, in program order; ``candidates`` the ones a checkpointing
+        strategy decides about (the ILP benchmarks read costs from here);
+        ``resolve(owner, data, role)`` how the backward pass reads one.
     """
 
     sdfg: SDFG

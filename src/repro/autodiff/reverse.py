@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.autodiff.analysis import ActivityAnalysis
 from repro.autodiff.rules import BackwardRuleEmitter, GradientNames
-from repro.autodiff.storage import Resolution, StoragePlanner
+from repro.autodiff.storage import StoragePlanner
 from repro.ir import (
     ConditionalRegion,
     ControlFlowRegion,
@@ -105,17 +105,13 @@ class BackwardBuilder:
     def _reverse_state(self, state: State) -> Optional[State]:
         pops = self.storage.state_tape_pops.get(id(state), [])
         active_nodes = [n for n in state.nodes if self.activity.is_active_node(n)]
-        recomputes = self._recompute_resolutions_for_state(state)
+        recomputes = self.storage.state_recomputes.get(id(state), [])
         if not pops and not active_nodes and not recomputes:
             return None
         reversed_state = State(self.sdfg.make_name(f"rev_{state.label}"))
         for ptr in pops:
             reversed_state.add(self._pointer_decrement(ptr))
-        emitted_chains: set[str] = set()
         for resolution in recomputes:
-            if resolution.container in emitted_chains:
-                continue
-            emitted_chains.add(resolution.container)
             for chain_node in resolution.recompute_chain:
                 reversed_state.add(clone_node_with_rename(chain_node, resolution.recompute_rename))
         for node in reversed(active_nodes):
@@ -123,15 +119,6 @@ class BackwardBuilder:
         if reversed_state.is_empty():
             return None
         return reversed_state
-
-    def _recompute_resolutions_for_state(self, state: State) -> list[Resolution]:
-        resolutions = []
-        for req in self.storage.required:
-            if req.state is state:
-                resolution = self.storage.resolutions.get(req.key)
-                if resolution is not None and resolution.kind == "recompute":
-                    resolutions.append(resolution)
-        return resolutions
 
     def _pointer_decrement(self, ptr: str) -> MapCompute:
         return MapCompute(
@@ -175,7 +162,7 @@ class BackwardBuilder:
             for sym in sorted(condition.free_symbols()):
                 if sym not in self.sdfg.arrays:
                     continue
-                resolution = self.storage.resolve_condition(conditional, sym)
+                resolution = self.storage.resolve(conditional, sym, "condition")
                 if resolution.kind == "tape":
                     restore_state.add(self._pointer_decrement(resolution.ptr))
                     restore_state.add(

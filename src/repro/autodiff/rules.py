@@ -225,10 +225,11 @@ class BackwardRuleEmitter:
         a_rank = self._operand_rank(self.sdfg, a_memlet)
         b_rank = self._operand_rank(self.sdfg, b_memlet)
         gout = self._gout_memlet(node)
-        a_val = self._value_memlet(node, "_a")
-        b_val = self._value_memlet(node, "_b")
         a_varied = self.carries_gradient(a_memlet.data)
         b_varied = self.carries_gradient(b_memlet.data)
+        # Each operand's gradient reads the other's value: read only those.
+        a_val = self._value_memlet(node, "_a") if b_varied else None
+        b_val = self._value_memlet(node, "_b") if a_varied else None
 
         if a_rank == b_rank and a_rank in (2, 3):
             # Plain 2-D matmul, or a batched (3-D) stack where *both*
@@ -322,15 +323,14 @@ class BackwardRuleEmitter:
     def _emit_outer(self, node: LibraryCall, state: State) -> None:
         a_memlet, b_memlet = node.inputs["_a"], node.inputs["_b"]
         gout = self._gout_memlet(node)
-        a_val = self._value_memlet(node, "_a")
-        b_val = self._value_memlet(node, "_b")
         if self.carries_gradient(a_memlet.data):
             state.add(LibraryCall(
-                "matmul", {"_a": gout, "_b": b_val}, self._grad_memlet(a_memlet),
-                label=f"bwd_{node.label}_a"))
+                "matmul", {"_a": gout, "_b": self._value_memlet(node, "_b")},
+                self._grad_memlet(a_memlet), label=f"bwd_{node.label}_a"))
         if self.carries_gradient(b_memlet.data):
             state.add(LibraryCall(
-                "matmul", {"_a": gout, "_b": a_val}, self._grad_memlet(b_memlet),
+                "matmul", {"_a": gout, "_b": self._value_memlet(node, "_a")},
+                self._grad_memlet(b_memlet),
                 attrs={"transpose_a": True}, label=f"bwd_{node.label}_b"))
 
     def _reduction_gout_element(self, node: LibraryCall, input_params_element: list) -> Subset:

@@ -29,7 +29,7 @@ checkpointing strategy (``strategy.decide``); the default stores everything
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.ir import (
     Subset,
 )
 from repro.ir.nodes import ComputeNode
+from repro.ir.usage import ProgramUses, collect_uses
 from repro.symbolic import Call, Const, Expr, Sym, diff, substitute
 from repro.symbolic.simplify import simplify
 from repro.util.errors import AutodiffError
@@ -93,18 +94,32 @@ def needed_value_connectors(node: ComputeNode,
 
 @dataclass
 class RequiredValue:
-    """One forward value needed by the backward pass."""
+    """One forward value needed by the backward pass: ``data`` as read by
+    ``owner``, a compute node (``role`` ``'input'`` / ``'output'``) or the
+    conditional whose branch condition names it (``'condition'``).
+
+    ``pos`` is the read's program position in the numbering of
+    :func:`repro.ir.usage.collect_uses`: the consuming node's position, one
+    past it for the node's own output, and the position of the conditional's
+    first nested node for a condition.  ``state`` is the consuming node's
+    state (``None`` for a condition) and ``ctrl_path`` the enclosing loops
+    and conditionals, outermost first.
+    """
 
     key: str
     data: str
     role: str  # 'input' | 'output' | 'condition'
-    node: Optional[ComputeNode]
+    owner: Union[ComputeNode, ConditionalRegion]
     state: Optional[State]
-    conditional: Optional[ConditionalRegion]
     region: ControlFlowRegion
-    enclosing_loops: tuple[LoopRegion, ...]
+    ctrl_path: tuple
+    pos: int
     overwritten_after: bool
     transient: bool
+
+    @property
+    def enclosing_loops(self) -> tuple[LoopRegion, ...]:
+        return tuple(e for e in self.ctrl_path if isinstance(e, LoopRegion))
 
 
 @dataclass
@@ -118,10 +133,12 @@ class RematCandidate:
 
     key: str
     data: str
-    required: RequiredValue
-    recompute_eligible: bool
     chain: list[ComputeNode] = field(default_factory=list)
     chain_transients: list[str] = field(default_factory=list)
+
+    @property
+    def recompute_eligible(self) -> bool:
+        return bool(self.chain)
 
 
 @dataclass
@@ -166,13 +183,14 @@ class StoragePlanner:
         self.strategy = strategy
         self.required: list[RequiredValue] = []
         self.candidates: dict[str, RematCandidate] = {}
-        self.resolutions: dict[str, Resolution] = {}
         #: (state id) -> list of tape pointer names to decrement at the start
         #: of the reversed state
         self.state_tape_pops: dict[int, list[str]] = {}
-        #: id(conditional) -> list of tape pointer names to decrement right
-        #: before the reversed conditional
-        self.conditional_tape_pops: dict[int, list[str]] = {}
+        #: (state id) -> recompute resolutions whose chains the reversed state
+        #: re-runs before its rules
+        self.state_recomputes: dict[int, list[Resolution]] = {}
+        # (id(owner), data, role) -> Resolution: every read a rule may make
+        self._resolutions: dict[tuple[int, str, str], Resolution] = {}
         # internal dedup: (id(state-or-conditional), data) -> Resolution
         self._save_cache: dict[tuple[int, str], Resolution] = {}
         self._counter = 0
@@ -180,127 +198,97 @@ class StoragePlanner:
     # ------------------------------------------------------------------ plan --
     def plan(self) -> None:
         """Discover required values, consult the strategy, insert saves."""
-        self._collect_region(self.sdfg.root, (), set())
-        self._build_candidates()
-        decisions = self._decide()
+        uses = collect_uses(self.sdfg)
+        self._discover(uses)
+        self._build_candidates(uses)
+        recomputed = self._recomputed()
         for req in self.required:
-            self.resolutions[req.key] = self._materialize(req, decisions.get(req.key, "store"))
+            if req.key in recomputed:
+                resolution = self._materialize_recompute(self.candidates[req.key])
+                self.state_recomputes.setdefault(id(req.state), []).append(resolution)
+            else:
+                resolution = self._materialize(req)
+            self._resolutions.setdefault((id(req.owner), req.data, req.role), resolution)
 
     # -- discovery ---------------------------------------------------------------
-    def _collect_region(self, region: ControlFlowRegion,
-                        loops: tuple[LoopRegion, ...], written_later: set[str]) -> None:
-        elements = region.elements
-        suffix_writes: list[set[str]] = [set() for _ in range(len(elements) + 1)]
-        for index in range(len(elements) - 1, -1, -1):
-            suffix_writes[index] = suffix_writes[index + 1] | set(elements[index].written_data())
-        for index, element in enumerate(elements):
-            later = written_later | suffix_writes[index + 1]
-            if isinstance(element, State):
-                self._collect_state(element, region, loops, later)
-            elif isinstance(element, LoopRegion):
-                self._collect_region(
-                    element.body, loops + (element,), later | set(element.written_data())
-                )
-            elif isinstance(element, ConditionalRegion):
-                self._collect_conditional(element, region, loops, later)
-                for _, branch in element.branches:
-                    self._collect_region(branch, loops, later)
+    def _discover(self, uses: ProgramUses) -> None:
+        """Record every value a backward rule reads, in program order.
 
-    def _collect_state(self, state: State, region: ControlFlowRegion,
-                       loops: tuple[LoopRegion, ...], later: set[str]) -> None:
-        node_writes = [node.output.data for node in state.nodes]
-        for position, node in enumerate(state.nodes):
-            if node.node_id not in self.activity.active_nodes:
-                continue
-            needed_inputs, needs_output = needed_value_connectors(
-                node, self.activity.carries_gradient)
-            for conn in sorted(needed_inputs):
-                data = node.inputs[conn].data
-                overwritten = data in later or data in node_writes[position:]
-                self._add_required(data, "input", node, state, None, region, loops, overwritten)
-            if needs_output:
-                data = node.output.data
-                overwritten = data in later or data in node_writes[position + 1:]
-                self._add_required(data, "output", node, state, None, region, loops, overwritten)
+        ``pos`` counts compute nodes in the order of ``collect_uses``, which
+        walks the same tree the same way.
+        """
+        pos = 0
+        for element, region, _, path in self.sdfg.root.walk():
+            if isinstance(element, ConditionalRegion):
+                if id(element) not in self.activity.active_conditionals:
+                    continue
+                for condition, _ in element.branches:
+                    if condition is None:
+                        continue
+                    for sym in sorted(condition.free_symbols()):
+                        if sym in self.sdfg.arrays:
+                            self._add_required(uses, sym, "condition", element, None,
+                                               region, path, pos)
+            elif isinstance(element, State):
+                for node in element.nodes:
+                    if node.node_id in self.activity.active_nodes:
+                        needed_inputs, needs_output = needed_value_connectors(
+                            node, self.activity.carries_gradient)
+                        for conn in sorted(needed_inputs):
+                            self._add_required(uses, node.inputs[conn].data, "input", node,
+                                               element, region, path, pos)
+                        if needs_output:
+                            self._add_required(uses, node.output.data, "output", node,
+                                               element, region, path, pos + 1)
+                    pos += 1
 
-    def _collect_conditional(self, conditional: ConditionalRegion, region: ControlFlowRegion,
-                             loops: tuple[LoopRegion, ...], later: set[str]) -> None:
-        if id(conditional) not in self.activity.active_conditionals:
-            return
-        for condition, _ in conditional.branches:
-            if condition is None:
-                continue
-            for sym in sorted(condition.free_symbols()):
-                if sym in self.sdfg.arrays:
-                    overwritten = sym in later
-                    self._add_required(sym, "condition", None, None, conditional, region,
-                                       loops, overwritten)
-
-    def _add_required(self, data: str, role: str, node, state, conditional, region,
-                      loops, overwritten) -> RequiredValue:
+    def _add_required(self, uses: ProgramUses, data: str, role: str, owner, state,
+                      region, path, pos) -> None:
+        """Append a required value.  It is *overwritten after* its read when
+        the container is written at or after ``pos`` (a node's own write
+        overwrites its inputs; branches count in program order, as liveness
+        lays them out) or anywhere in a loop enclosing the read (the next
+        iteration's write precedes this iteration's backward read)."""
         self._counter += 1
-        owner = node.node_id if node is not None else id(conditional)
-        req = RequiredValue(
-            key=f"{data}#{role}#{owner}#{self._counter}",
+        loops = [e for e in path if isinstance(e, LoopRegion)]
+        overwritten = any(
+            write.pos >= pos or any(loop in write.ctrl_path for loop in loops)
+            for write in uses[data].writes
+        )
+        owner_id = id(owner) if role == "condition" else owner.node_id
+        self.required.append(RequiredValue(
+            key=f"{data}#{role}#{owner_id}#{self._counter}",
             data=data,
             role=role,
-            node=node,
+            owner=owner,
             state=state,
-            conditional=conditional,
             region=region,
-            enclosing_loops=loops,
+            ctrl_path=path,
+            pos=pos,
             overwritten_after=overwritten,
             transient=self.sdfg.arrays[data].transient,
-        )
-        self.required.append(req)
-        return req
+        ))
 
     # -- candidates and decisions -----------------------------------------------------
-    def _build_candidates(self) -> None:
+    def _build_candidates(self, uses: ProgramUses) -> None:
         for req in self.required:
-            if req.role != "input" or req.enclosing_loops or not req.transient:
-                continue  # only top-level transient inputs are decision candidates
-            if req.state not in self.sdfg.root.elements:
-                continue  # consumers inside conditionals are stored, not decided
-            chain, chain_transients, eligible = self._defining_chain(req)
-            self.candidates[req.key] = RematCandidate(
-                key=req.key,
-                data=req.data,
-                required=req,
-                recompute_eligible=eligible,
-                chain=chain,
-                chain_transients=chain_transients,
-            )
+            # Only transient inputs of top-level nodes are decision
+            # candidates; consumers inside loops or conditionals are stored.
+            if req.role != "input" or req.ctrl_path or not req.transient:
+                continue
+            chain, chain_transients = self._defining_chain(req, uses)
+            self.candidates[req.key] = RematCandidate(req.key, req.data, chain, chain_transients)
 
-    def _defining_chain(self, req: RequiredValue):
+    def _defining_chain(self, req: RequiredValue, uses: ProgramUses):
         """Find the top-level straight-line chain recomputing ``req.data``.
 
         Returns (chain nodes in execution order, intermediate transients that
-        the chain recomputes, eligible flag).
+        the chain recomputes); both are empty when recomputation is not
+        possible.  Every container is judged at the consumer's position: an
+        argument is available only if it is never written, and a transient
+        only if its last write before the consumer is top-level with no
+        earlier write inside a loop or conditional.
         """
-        # Map: data -> last top-level node writing it before the consumer state.
-        last_writer: dict[str, ComputeNode] = {}
-        writers_in_loops: set[str] = set()
-        consumer_state = req.state
-        for element in self.sdfg.root.elements:
-            if element is consumer_state:
-                # Include nodes of the consumer state that precede the consumer.
-                for node in element.nodes:
-                    if node is req.node:
-                        break
-                    last_writer[node.output.data] = node
-                break
-            if isinstance(element, State):
-                for node in element.nodes:
-                    last_writer[node.output.data] = node
-            else:
-                for name in element.written_data():
-                    writers_in_loops.add(name)
-
-        ever_written = set()
-        for state in self.sdfg.all_states():
-            ever_written |= set(state.written_data())
-
         chain: list[ComputeNode] = []
         chain_transients: list[str] = []
         visited: set[str] = set()
@@ -309,44 +297,34 @@ class StoragePlanner:
             if data in visited:
                 return True
             visited.add(data)
-            desc = self.sdfg.arrays[data]
-            if not desc.transient:
-                # Arguments are available at backward time only if never written.
-                return data not in ever_written
-            if data in writers_in_loops:
+            writes = uses[data].writes
+            if not self.sdfg.arrays[data].transient:
+                return not writes
+            before = [write for write in writes if write.pos < req.pos]
+            if not before or any(write.ctrl_path for write in before):
                 return False
-            writer = last_writer.get(data)
-            if writer is None:
+            writer = before[-1].node
+            if not all(resolve(memlet.data) for memlet in writer.inputs.values()):
                 return False
-            for memlet in writer.inputs.values():
-                if not resolve(memlet.data):
-                    return False
             chain.append(writer)
             chain_transients.append(data)
             return True
 
-        eligible = resolve(req.data)
-        if not eligible:
-            return [], [], False
-        return chain, chain_transients, True
+        if not resolve(req.data):
+            return [], []
+        return chain, chain_transients
 
-    def _decide(self) -> dict[str, str]:
-        """Consult the strategy; default is store-all."""
+    def _recomputed(self) -> set[str]:
+        """Keys of the candidates the strategy recomputes (none without a
+        strategy: store-all); an ineligible candidate is always stored."""
         if self.strategy is None or not self.candidates:
-            return {key: "store" for key in self.candidates}
+            return set()
         decisions = self.strategy.decide(self.sdfg, list(self.candidates.values()))
-        cleaned = {}
-        for key, candidate in self.candidates.items():
-            decision = decisions.get(key, "store")
-            if decision == "recompute" and not candidate.recompute_eligible:
-                decision = "store"
-            cleaned[key] = decision
-        return cleaned
+        return {key for key, candidate in self.candidates.items()
+                if decisions.get(key) == "recompute" and candidate.recompute_eligible}
 
     # -- materialisation --------------------------------------------------------------
-    def _materialize(self, req: RequiredValue, decision: str) -> Resolution:
-        if decision == "recompute" and req.key in self.candidates:
-            return self._materialize_recompute(self.candidates[req.key])
+    def _materialize(self, req: RequiredValue) -> Resolution:
         if not req.overwritten_after:
             return Resolution(kind="direct", container=req.data)
         if req.enclosing_loops:
@@ -368,8 +346,7 @@ class StoragePlanner:
         )
 
     def _save_owner_key(self, req: RequiredValue) -> tuple[int, str]:
-        owner = req.state if req.state is not None else req.conditional
-        return (id(owner), req.data)
+        return (id(req.owner if req.state is None else req.state), req.data)
 
     def _materialize_snapshot(self, req: RequiredValue) -> Resolution:
         cache_key = self._save_owner_key(req)
@@ -420,11 +397,10 @@ class StoragePlanner:
         )
         self._insert_save(req, [save_node, bump])
 
-        # Register the pop (pointer decrement) with the owning state/conditional.
+        # Register the pop (pointer decrement) with the owning state; the
+        # reversed conditional pops a taped condition through ``ptr``.
         if req.state is not None:
             self.state_tape_pops.setdefault(id(req.state), []).append(ptr.name)
-        else:
-            self.conditional_tape_pops.setdefault(id(req.conditional), []).append(ptr.name)
 
         resolution = Resolution(kind="tape", container=tape.name, ptr=ptr.name)
         self._save_cache[cache_key] = resolution
@@ -433,8 +409,8 @@ class StoragePlanner:
     def _insert_save(self, req: RequiredValue, nodes: list[ComputeNode]) -> None:
         """Insert save nodes right before the consuming node (or, for
         conditions, in a new state right before the conditional)."""
-        if req.state is not None and req.node is not None:
-            position = req.state.nodes.index(req.node)
+        if req.state is not None:
+            position = req.state.nodes.index(req.owner)
             if req.role == "output":
                 position += 1
             for offset, node in enumerate(nodes):
@@ -442,35 +418,31 @@ class StoragePlanner:
         else:
             save_state = State(self.sdfg.make_name(f"save_cond"))
             save_state.extend(nodes)
-            index = req.region.elements.index(req.conditional)
+            index = req.region.elements.index(req.owner)
             req.region.elements.insert(index, save_state)
 
     # ------------------------------------------------------------------ queries --
-    def resolve(self, node: ComputeNode, data: str, role: str = "input") -> Resolution:
-        """Resolution for a (node, data) pair; falls back to direct access."""
-        for req in self.required:
-            if req.node is node and req.data == data and req.role == role:
-                return self.resolutions[req.key]
-        return Resolution(kind="direct", container=data)
-
-    def resolve_condition(self, conditional: ConditionalRegion, data: str) -> Resolution:
-        for req in self.required:
-            if req.conditional is conditional and req.data == data:
-                return self.resolutions[req.key]
-        return Resolution(kind="direct", container=data)
+    def resolve(self, owner: Union[ComputeNode, ConditionalRegion], data: str,
+                role: str = "input") -> Resolution:
+        """Resolution for ``data`` as read by ``owner`` (a compute node, or a
+        conditional for ``role='condition'``).  A read the planner did not
+        plan raises: the live container may have been overwritten since."""
+        resolution = self._resolutions.get((id(owner), data, role))
+        if resolution is None:
+            raise AutodiffError(
+                f"No forward value of {data!r} ({role}) was planned for {owner!r}; "
+                "needed_value_connectors must list every value a backward rule reads"
+            )
+        return resolution
 
     def read_memlet(self, resolution: Resolution, original: Memlet) -> Memlet:
         """Build the memlet the backward pass uses to read a required value."""
-        if resolution.kind in ("direct",):
+        if resolution.kind != "tape":
             return Memlet(resolution.container, original.subset)
-        if resolution.kind in ("snapshot", "recompute"):
-            return Memlet(resolution.container, original.subset)
-        if resolution.kind == "tape":
-            dims = [Index(Sym(resolution.ptr))]
-            if original.subset is not None:
-                dims.extend(original.subset.dims)
-            else:
-                desc = self.sdfg.arrays[original.data]
-                dims.extend(Subset.full(desc.shape).dims)
-            return Memlet(resolution.container, Subset(dims))
-        raise AutodiffError(f"Unknown resolution kind {resolution.kind!r}")
+        dims = [Index(Sym(resolution.ptr))]
+        if original.subset is not None:
+            dims.extend(original.subset.dims)
+        else:
+            desc = self.sdfg.arrays[original.data]
+            dims.extend(Subset.full(desc.shape).dims)
+        return Memlet(resolution.container, Subset(dims))

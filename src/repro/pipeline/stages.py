@@ -347,12 +347,9 @@ class Codegen(Pass):
         except (UnsupportedFeatureError, NativeToolchainError) as exc:
             if self.backend == "numpy":
                 raise
-            message = str(exc)
-            if len(message) > 200:
-                message = message[:200] + "..."
             ctx.note(
                 "backend_fallback",
-                f"{self.backend}→numpy: {type(exc).__name__}({message})",
+                f"{self.backend}→numpy: {type(exc).__name__}({exc})",
             )
             return compile_sdfg(
                 sdfg, func_name=func_name, result_names=result_names,

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.autodiff import compute_activity
+from repro.autodiff.storage import StoragePlanner
 from repro.baselines.numerical import finite_difference_gradient
 from repro.codegen.cython_backend import find_c_compiler
 from repro.ir import LibraryCall
@@ -133,8 +134,23 @@ class TestPrunedWork:
         assert len(backward_matmuls(repro.grad(program, wrt=["A", "B"], cache=False))) == 2
         # The matmul's one varied operand needs only the other one's value.
         matmul_values = {req.data for req in only_a.result.storage.required
-                         if isinstance(req.node, LibraryCall) and req.node.kind == "matmul"}
+                         if isinstance(req.owner, LibraryCall) and req.owner.kind == "matmul"}
         assert matmul_values == {"B"}
+
+    def test_gemm_wrt_a_matmul_rule_reads_only_b(self, monkeypatch):
+        # The rule asks the planner for exactly the values it planned: an
+        # unplanned read would raise instead of reading the live container.
+        asked = []
+        resolve = StoragePlanner.resolve
+
+        def spy(self, owner, data, role="input"):
+            asked.append((owner, data))
+            return resolve(self, owner, data, role)
+
+        monkeypatch.setattr(StoragePlanner, "resolve", spy)
+        repro.grad(get_kernel("gemm").program_for("S"), wrt="A", cache=False)
+        assert {data for owner, data in asked
+                if isinstance(owner, LibraryCall) and owner.kind == "matmul"} == {"B"}
 
     def test_activity_varied_set_and_pruned_nodes(self):
         sdfg = listing1.to_sdfg()

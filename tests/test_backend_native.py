@@ -199,6 +199,24 @@ class TestFallback:
         assert outcome.compiled.backend == "numpy"
         assert "NativeToolchainError" in (outcome.report.backend_fallback or "")
 
+    def test_fallback_reason_keeps_the_whole_error(self, monkeypatch, tmp_path):
+        # cc's command line alone is longer than any cut: the error text at
+        # its end must reach the report.
+        import repro.codegen.cython_backend.build as native_build
+        import repro.codegen.cython_backend.compiled as native_compiled
+
+        message = "x" * 490 + "END-MARKER"
+
+        def failing_build(c_source, path):
+            raise NativeToolchainError(message)
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))  # nothing cached
+        monkeypatch.setattr(native_compiled, "find_c_compiler", lambda: "cc")
+        monkeypatch.setattr(native_build, "compile_shared_object", failing_build)
+        outcome = compile_forward(make_loop_program(), "O0", cache=False, backend="cython")
+        assert outcome.compiled.backend == "numpy"
+        assert message in (outcome.report.backend_fallback or "")
+
 
 @needs_toolchain
 class TestCacheIntegration:

@@ -2,6 +2,8 @@
 cross-validation (property-based), strategies, gradient correctness under
 every strategy and the measured peak of each strategy's generated driver."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from repro.checkpointing import (
 from repro.checkpointing.memseq import peak_memory
 from repro.harness import peak_bytes
 from repro.pipeline import compile_gradient
-from repro.util.errors import CheckpointingError
+from repro.util.errors import AutodiffError, CheckpointingError
 
 N = repro.symbol("N")
 
@@ -64,6 +66,15 @@ class TestCandidateDiscovery:
         result = listing1_candidates()
         by_data = {c.data: c for c in result.storage.candidates.values()}
         assert len(by_data["A0"].chain) < len(by_data["A1"].chain) < len(by_data["A2"].chain)
+
+    def test_unplanned_read_raises(self):
+        # D1 = D * 6.0 is linear: its rule needs no value, so none is planned
+        # and reading one anyway is an error, not a read of the live container.
+        result = listing1_candidates()
+        scale = next(node for state in result.sdfg.all_states() for node in state.nodes
+                     if node.output.data == "D1")
+        with pytest.raises(AutodiffError, match=r"'D'.*" + re.escape(repr(scale))):
+            result.storage.resolve(scale, "D")
 
 
 class TestCostModel:
