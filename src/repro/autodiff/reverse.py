@@ -7,11 +7,15 @@ Section II step 3 and Section III):
   :class:`~repro.autodiff.rules.BackwardRuleEmitter`);
 * sequential loops become loops over the *reversed* iteration set, without
   unrolling (Fig. 6e);
-* conditionals are re-emitted guarded by the stored/recomputed condition so
+* conditionals are re-emitted guarded by the forward branch condition so
   the backward pass prunes the branches not taken in the forward pass
-  (Fig. 3b);
-* stack-tape pointers are popped exactly once per reversed state / reversed
-  conditional, pairing with the pushes inserted by the storage planner.
+  (Fig. 3b).
+
+Everything that brings a saved forward value back comes from the
+:class:`~repro.autodiff.storage.StoragePlanner`: a reversed state starts
+with the planner's ``state_prologue`` (tape pops, recompute chains) and a
+reversed conditional with its ``condition_values`` (restored or renamed
+conditions).  This module builds no tape index, pop or recompute clone.
 """
 
 from __future__ import annotations
@@ -21,39 +25,9 @@ from typing import Optional
 from repro.autodiff.analysis import ActivityAnalysis
 from repro.autodiff.rules import BackwardRuleEmitter, GradientNames
 from repro.autodiff.storage import StoragePlanner
-from repro.ir import (
-    ConditionalRegion,
-    ControlFlowRegion,
-    Index,
-    LibraryCall,
-    LoopRegion,
-    MapCompute,
-    Memlet,
-    SDFG,
-    State,
-    Subset,
-)
-from repro.ir.nodes import ComputeNode
-from repro.symbolic import Const, Expr, Sym, UnOp, substitute
+from repro.ir import ConditionalRegion, ControlFlowRegion, LoopRegion, SDFG, State
+from repro.symbolic import Const, Expr, UnOp, substitute
 from repro.symbolic.simplify import simplify
-from repro.util.errors import AutodiffError
-
-
-def clone_node_with_rename(node: ComputeNode, rename: dict[str, str]) -> ComputeNode:
-    """Copy a compute node, renaming the containers its memlets reference."""
-
-    def rename_memlet(memlet: Memlet) -> Memlet:
-        return Memlet(rename.get(memlet.data, memlet.data), memlet.subset, memlet.accumulate)
-
-    inputs = {conn: rename_memlet(memlet) for conn, memlet in node.inputs.items()}
-    output = rename_memlet(node.output)
-    if isinstance(node, MapCompute):
-        return MapCompute(node.params, node.ranges, node.expr, inputs, output,
-                          label=f"rc_{node.label}")
-    if isinstance(node, LibraryCall):
-        return LibraryCall(node.kind, inputs, output, attrs=dict(node.attrs),
-                           label=f"rc_{node.label}")
-    raise AutodiffError(f"Cannot clone node {node!r}")
 
 
 def reversed_loop_bounds(loop: LoopRegion) -> tuple[Expr, Expr, Expr]:
@@ -103,29 +77,15 @@ class BackwardBuilder:
 
     # ------------------------------------------------------------------ states --
     def _reverse_state(self, state: State) -> Optional[State]:
-        pops = self.storage.state_tape_pops.get(id(state), [])
+        prologue = self.storage.state_prologue(state)
         active_nodes = [n for n in state.nodes if self.activity.is_active_node(n)]
-        recomputes = self.storage.state_recomputes.get(id(state), [])
-        if not pops and not active_nodes and not recomputes:
+        if not prologue and not active_nodes:
             return None
         reversed_state = State(self.sdfg.make_name(f"rev_{state.label}"))
-        for ptr in pops:
-            reversed_state.add(self._pointer_decrement(ptr))
-        for resolution in recomputes:
-            for chain_node in resolution.recompute_chain:
-                reversed_state.add(clone_node_with_rename(chain_node, resolution.recompute_rename))
+        reversed_state.extend(prologue)
         for node in reversed(active_nodes):
             self.rules.emit(node, reversed_state)
-        if reversed_state.is_empty():
-            return None
-        return reversed_state
-
-    def _pointer_decrement(self, ptr: str) -> MapCompute:
-        return MapCompute(
-            params=[], ranges=[], expr=Const(-1), inputs={},
-            output=Memlet(ptr, Subset(()), accumulate=True),
-            label=f"pop_{ptr}",
-        )
+        return None if reversed_state.is_empty() else reversed_state
 
     # ------------------------------------------------------------------ loops --
     def _reverse_loop(self, loop: LoopRegion) -> Optional[LoopRegion]:
@@ -142,50 +102,18 @@ class BackwardBuilder:
 
     # ------------------------------------------------------------------ branches --
     def _reverse_conditional(self, conditional: ConditionalRegion) -> list:
-        elements: list = []
-        reversed_branches = []
-        any_content = False
-        for condition, region in conditional.branches:
-            body_elements = self.reverse_region(region)
-            any_content = any_content or bool(body_elements)
-            reversed_branches.append((condition, body_elements))
-        if not any_content:
+        reversed_branches = [(condition, self.reverse_region(region))
+                             for condition, region in conditional.branches]
+        if not any(body for _, body in reversed_branches):
             return []
-
-        # Restore taped conditions (pop the pointer, then rewrite the stored
-        # condition value into the original container).
+        restores, rename = self.storage.condition_values(conditional)
         restore_state = State(self.sdfg.make_name("restore_cond"))
-        condition_rename: dict[str, str] = {}
-        for condition, _ in conditional.branches:
-            if condition is None:
-                continue
-            for sym in sorted(condition.free_symbols()):
-                if sym not in self.sdfg.arrays:
-                    continue
-                resolution = self.storage.resolve(conditional, sym, "condition")
-                if resolution.kind == "tape":
-                    restore_state.add(self._pointer_decrement(resolution.ptr))
-                    restore_state.add(
-                        MapCompute(
-                            params=[], ranges=[], expr=Sym("__v"),
-                            inputs={"__v": Memlet(resolution.container,
-                                                  Subset([Index(Sym(resolution.ptr))]))},
-                            output=Memlet(sym, Subset(())),
-                            label=f"restore_{sym}",
-                        )
-                    )
-                elif resolution.kind == "snapshot":
-                    condition_rename[sym] = resolution.container
-        if not restore_state.is_empty():
-            elements.append(restore_state)
-
+        restore_state.extend(restores)
         reversed_conditional = ConditionalRegion(
             label=self.sdfg.make_name(f"rev_{conditional.label}")
         )
-        for (condition, body_elements) in reversed_branches:
-            if condition is not None and condition_rename:
-                condition = substitute(condition, {k: Sym(v) for k, v in condition_rename.items()})
-            branch_region = reversed_conditional.add_branch(condition)
-            branch_region.elements = body_elements
-        elements.append(reversed_conditional)
-        return elements
+        for condition, body in reversed_branches:
+            if condition is not None and rename:
+                condition = substitute(condition, rename)
+            reversed_conditional.add_branch(condition).elements = body
+        return ([] if restore_state.is_empty() else [restore_state]) + [reversed_conditional]

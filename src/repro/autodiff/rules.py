@@ -32,6 +32,11 @@ from repro.symbolic.simplify import simplify
 from repro.util.errors import AutodiffError
 
 
+def gradient_dtype(dtype) -> type:
+    """Gradients are float32 for float32 data and float64 otherwise."""
+    return np.float32 if dtype == np.float32 else np.float64
+
+
 class GradientNames:
     """Creates and caches gradient containers (zero-initialised, float)."""
 
@@ -46,33 +51,10 @@ class GradientNames:
         if data in self.names:
             return self.names[data]
         desc = self.sdfg.arrays[data]
-        dtype = np.float32 if desc.dtype == np.float32 else np.float64
-        grad = self.sdfg.add_transient(f"__grad_{data}", desc.shape, dtype, zero_init=True)
+        grad = self.sdfg.add_transient(f"__grad_{data}", desc.shape, gradient_dtype(desc.dtype),
+                                       zero_init=True)
         self.names[data] = grad.name
         return grad.name
-
-
-def _region_params(prefix: str, subset: Optional[Subset], sdfg: SDFG, data: str,
-                   counter: list[int]) -> tuple[list[str], list[Range], list]:
-    """Map parameters/ranges iterating over a region memlet, plus the
-    per-element index template (one entry per container dimension)."""
-    counter[0] += 1
-    if subset is None:
-        subset = Subset.full(sdfg.arrays[data].shape)
-    params: list[str] = []
-    ranges: list[Range] = []
-    element: list = []
-    dim_index = 0
-    for dim in subset:
-        if isinstance(dim, Index):
-            element.append(dim)
-            continue
-        param = f"__{prefix}{counter[0]}_{dim_index}"
-        params.append(param)
-        ranges.append(Range(Const(0), dim.length_expr(), Const(1)))
-        element.append(Index(simplify(dim.start + dim.step * Sym(param))))
-        dim_index += 1
-    return params, ranges, element
 
 
 class BackwardRuleEmitter:
@@ -84,7 +66,7 @@ class BackwardRuleEmitter:
         self.grads = grads
         #: the one predicate deciding which inputs receive a contribution
         self.carries_gradient = storage.activity.carries_gradient
-        self._counter = [0]
+        self._counter = 0
 
     # ------------------------------------------------------------------ entry --
     def emit(self, node: ComputeNode, state: State) -> None:
@@ -100,16 +82,32 @@ class BackwardRuleEmitter:
             raise AutodiffError(f"Cannot reverse node {node!r}")
 
     # -- common helpers ---------------------------------------------------------
-    def _value_memlet(self, node: ComputeNode, connector: str) -> Memlet:
-        """Memlet reading the *forward value* of an input connector."""
+    def _value_memlet(self, node: ComputeNode, connector: str,
+                      subset: Optional[Subset] = None) -> Memlet:
+        """Memlet reading the *forward value* of an input connector, at
+        ``subset`` of its container (default: the subset the node reads)."""
         original = node.inputs[connector]
         resolution = self.storage.resolve(node, original.data, role="input")
+        if subset is not None:
+            original = Memlet(original.data, subset)
         return self.storage.read_memlet(resolution, original)
 
-    def _output_value_memlet(self, node: ComputeNode) -> Memlet:
-        original = node.output
-        resolution = self.storage.resolve(node, original.data, role="output")
-        return self.storage.read_memlet(resolution, Memlet(original.data, original.subset))
+    def _output_value_memlet(self, node: ComputeNode, subset: Optional[Subset]) -> Memlet:
+        """Memlet reading the *forward value* of the output at ``subset``."""
+        resolution = self.storage.resolve(node, node.output.data, role="output")
+        return self.storage.read_memlet(resolution, Memlet(node.output.data, subset))
+
+    def _region_params(self, prefix: str, subset: Optional[Subset],
+                       data: str) -> tuple[list[str], list[Range], list]:
+        """Map parameters/ranges iterating over a region memlet, plus the
+        per-element index template (one entry per container dimension)."""
+        self._counter += 1
+        if subset is None:
+            subset = Subset.full(self.sdfg.arrays[data].shape)
+        lengths = [dim.length_expr() for dim in subset if not isinstance(dim, Index)]
+        params = [f"__{prefix}{self._counter}_{i}" for i in range(len(lengths))]
+        ranges = [Range(Const(0), length, Const(1)) for length in lengths]
+        return params, ranges, self._reindex(subset, data, params)
 
     def _clear_if_overwrite(self, node: ComputeNode, state: State,
                             grad_source: Optional[str] = None) -> None:
@@ -124,8 +122,7 @@ class BackwardRuleEmitter:
             params, ranges = node.params, node.ranges
             target = node.output.subset
         else:
-            params, ranges, element = _region_params("c", node.output.subset, self.sdfg, out,
-                                                     self._counter)
+            params, ranges, element = self._region_params("c", node.output.subset, out)
             target = Subset(element)
         state.add(
             MapCompute(
@@ -274,23 +271,21 @@ class BackwardRuleEmitter:
                     label=f"bwd_{node.label}_b"))
         elif a_rank == 1 and b_rank == 1:
             # Dot product: gA[k] += gC * B[k], gB[k] += gC * A[k].
-            self._emit_scaled_copy(state, node, gout, b_val, a_memlet)
-            self._emit_scaled_copy(state, node, gout, a_val, b_memlet)
+            self._emit_scaled_copy(state, node, gout, "_b", a_memlet)
+            self._emit_scaled_copy(state, node, gout, "_a", b_memlet)
         else:
             raise AutodiffError(
                 f"Unsupported matmul operand ranks ({a_rank}, {b_rank}) in backward pass"
             )
 
     def _emit_scaled_copy(self, state: State, node: ComputeNode, gout: Memlet,
-                          value: Memlet, target: Memlet) -> None:
+                          value_connector: str, target: Memlet) -> None:
         """grad_target[sub] += gout_scalar * value[sub] (vector scale)."""
         if not self.carries_gradient(target.data):
             return
-        params, ranges, element = _region_params("k", target.subset, self.sdfg, target.data,
-                                                 self._counter)
-        _, _, value_element = _region_params("v", value.subset, self.sdfg, value.data,
-                                             self._counter)
+        params, ranges, element = self._region_params("k", target.subset, target.data)
         # Re-use the same parameters for the value operand (same 1-D length).
+        value = node.inputs[value_connector]
         value_element = self._reindex(value.subset, value.data, params)
         state.add(
             MapCompute(
@@ -299,7 +294,7 @@ class BackwardRuleEmitter:
                 expr=BinOp("*", Sym("__gc"), Sym("__v")),
                 inputs={
                     "__gc": Memlet(gout.data, gout.subset),
-                    "__v": Memlet(value.data, Subset(value_element)),
+                    "__v": self._value_memlet(node, value_connector, Subset(value_element)),
                 },
                 output=Memlet(self.grads.get(target.data), Subset(element), accumulate=True),
                 label=f"bwd_{node.label}_dot",
@@ -357,8 +352,7 @@ class BackwardRuleEmitter:
         source = node.inputs["_in"]
         if not self.carries_gradient(source.data):
             return
-        params, ranges, element = _region_params("r", source.subset, self.sdfg, source.data,
-                                                 self._counter)
+        params, ranges, element = self._region_params("r", source.subset, source.data)
         gout_element = self._reduction_gout_element(node, element)
         grad_out = self.grads.get(node.output.data)
         state.add(
@@ -376,24 +370,12 @@ class BackwardRuleEmitter:
         source = node.inputs["_in"]
         if not self.carries_gradient(source.data):
             return
-        params, ranges, element = _region_params("r", source.subset, self.sdfg, source.data,
-                                                 self._counter)
+        params, ranges, element = self._region_params("r", source.subset, source.data)
         gout_element = self._reduction_gout_element(node, element)
         grad_out = self.grads.get(node.output.data)
-        in_val = self._value_memlet(node, "_in")
-        out_val = self._output_value_memlet(node)
-        in_element = self._reindex(in_val.subset, in_val.data, params)
-        out_element = gout_element if out_val.data == node.output.data else None
-        # The stored output value uses the same indexing as the output gradient
-        # (possibly offset by a tape pointer dimension).
-        if out_element is None or out_val.data != node.output.data:
-            if out_val.subset is not None and len(out_val.subset) > len(gout_element):
-                # taped value: leading pointer index plus the output element
-                out_subset = Subset([out_val.subset.dims[0]] + list(gout_element.dims))
-            else:
-                out_subset = gout_element
-        else:
-            out_subset = gout_element
+        # The forward input and output at the elements this map visits.
+        in_val = self._value_memlet(node, "_in", Subset(element))
+        out_val = self._output_value_memlet(node, gout_element)
         # Ties: several inputs can attain the extremum (the off-diagonal
         # minimum of a symmetric Gram matrix sits at both (i, j) and (j, i)),
         # and routing the full output gradient to every tied element scales
@@ -401,11 +383,9 @@ class BackwardRuleEmitter:
         # JAX/autograd convention, and the one the jaxlike oracle implements.
         out_desc = self.sdfg.arrays[node.output.data]
         ties = self.sdfg.add_transient(
-            f"__ties_{node.output.data}", out_desc.shape,
-            np.float32 if out_desc.dtype == np.float32 else np.float64,
+            f"__ties_{node.output.data}", out_desc.shape, gradient_dtype(out_desc.dtype),
         ).name
-        clear_params, clear_ranges, clear_element = _region_params(
-            "c", None, self.sdfg, ties, self._counter)
+        clear_params, clear_ranges, clear_element = self._region_params("c", None, ties)
         state.add(
             MapCompute(
                 params=clear_params,
@@ -422,8 +402,8 @@ class BackwardRuleEmitter:
                 ranges=ranges,
                 expr=IfExp(Compare("==", Sym("__val"), Sym("__out")), Const(1), Const(0)),
                 inputs={
-                    "__val": Memlet(in_val.data, Subset(in_element)),
-                    "__out": Memlet(out_val.data, out_subset),
+                    "__val": in_val,
+                    "__out": out_val,
                 },
                 output=Memlet(ties, gout_element, accumulate=True),
                 label=f"ties_{node.label}",
@@ -439,8 +419,8 @@ class BackwardRuleEmitter:
                     Const(0),
                 ),
                 inputs={
-                    "__val": Memlet(in_val.data, Subset(in_element)),
-                    "__out": Memlet(out_val.data, out_subset),
+                    "__val": in_val,
+                    "__out": out_val,
                     "__gout": Memlet(grad_out, gout_element),
                     "__ties": Memlet(ties, gout_element),
                 },
@@ -452,41 +432,29 @@ class BackwardRuleEmitter:
     _emit_reduce_max = _emit_reduce_minmax
     _emit_reduce_min = _emit_reduce_minmax
 
-    def _emit_transpose(self, node: LibraryCall, state: State) -> None:
+    def _emit_same_kind(self, node: LibraryCall, state: State) -> None:
+        """copy, flatten and transpose: the output gradient goes back through
+        a node of the same kind.  An explicit transpose ``axes`` (batched
+        transposes, repro.vmap) is the (0, 2, 1) trailing-axes swap, its own
+        inverse, so it is propagated."""
         source = node.inputs["_in"]
         if not self.carries_gradient(source.data):
             return
-        # An explicit axes permutation (batched transposes, repro.vmap) is
-        # its own inverse for the (0, 2, 1) trailing-axes swap; propagate it.
         attrs = {"axes": node.attrs["axes"]} if "axes" in node.attrs else None
         state.add(LibraryCall(
-            "transpose", {"_in": self._gout_memlet(node)}, self._grad_memlet(source),
+            node.kind, {"_in": self._gout_memlet(node)}, self._grad_memlet(source),
             attrs=attrs, label=f"bwd_{node.label}"))
 
-    def _emit_copy(self, node: LibraryCall, state: State) -> None:
-        source = node.inputs["_in"]
-        if not self.carries_gradient(source.data):
-            return
-        state.add(LibraryCall(
-            "copy", {"_in": self._gout_memlet(node)}, self._grad_memlet(source),
-            label=f"bwd_{node.label}"))
-
-    def _emit_flatten(self, node: LibraryCall, state: State) -> None:
-        source = node.inputs["_in"]
-        if not self.carries_gradient(source.data):
-            return
-        state.add(LibraryCall(
-            "flatten", {"_in": self._gout_memlet(node)}, self._grad_memlet(source),
-            label=f"bwd_{node.label}"))
+    _emit_copy = _emit_same_kind
+    _emit_flatten = _emit_same_kind
+    _emit_transpose = _emit_same_kind
 
     def _emit_relu(self, node: LibraryCall, state: State) -> None:
         source = node.inputs["_in"]
         if not self.carries_gradient(source.data):
             return
-        params, ranges, element = _region_params("r", source.subset, self.sdfg, source.data,
-                                                 self._counter)
-        in_val = self._value_memlet(node, "_in")
-        in_element = self._reindex(in_val.subset, in_val.data, params)
+        params, ranges, element = self._region_params("r", source.subset, source.data)
+        in_val = self._value_memlet(node, "_in", Subset(element))
         out_element = self._reindex(node.output.subset, node.output.data, params)
         grad_out = self.grads.get(node.output.data)
         state.add(
@@ -495,7 +463,7 @@ class BackwardRuleEmitter:
                 ranges=ranges,
                 expr=IfExp(Compare(">", Sym("__val"), Const(0)), Sym("__gout"), Const(0)),
                 inputs={
-                    "__val": Memlet(in_val.data, Subset(in_element)),
+                    "__val": in_val,
                     "__gout": Memlet(grad_out, Subset(out_element)),
                 },
                 output=Memlet(self.grads.get(source.data), Subset(element), accumulate=True),
@@ -507,7 +475,7 @@ class BackwardRuleEmitter:
         source = node.inputs["_in"]
         if not self.carries_gradient(source.data):
             return
-        out_val = self._output_value_memlet(node)
+        out_val = self._output_value_memlet(node, node.output.subset)
         state.add(LibraryCall(
             "softmax_backward",
             {"_gout": self._gout_memlet(node), "_y": out_val},

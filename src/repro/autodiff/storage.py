@@ -174,8 +174,12 @@ def conservative_capacity(loops: tuple[LoopRegion, ...]) -> Expr:
 
 
 class StoragePlanner:
-    """Plans and inserts forward-value storage, and resolves reads for the
-    backward builder."""
+    """Plans and inserts forward-value storage, and hands the backward pass
+    everything that brings a value back: the memlet a rule reads it through
+    (:meth:`read_memlet`), the pops and recompute chains a reversed state
+    runs first (:meth:`state_prologue`) and the restored branch conditions
+    of a reversed conditional (:meth:`condition_values`).  No other module
+    knows how a saved value is laid out."""
 
     def __init__(self, sdfg: SDFG, activity: ActivityAnalysis, strategy=None) -> None:
         self.sdfg = sdfg
@@ -183,16 +187,13 @@ class StoragePlanner:
         self.strategy = strategy
         self.required: list[RequiredValue] = []
         self.candidates: dict[str, RematCandidate] = {}
-        #: (state id) -> list of tape pointer names to decrement at the start
-        #: of the reversed state
-        self.state_tape_pops: dict[int, list[str]] = {}
-        #: (state id) -> recompute resolutions whose chains the reversed state
-        #: re-runs before its rules
-        self.state_recomputes: dict[int, list[Resolution]] = {}
         # (id(owner), data, role) -> Resolution: every read a rule may make
         self._resolutions: dict[tuple[int, str, str], Resolution] = {}
-        # internal dedup: (id(state-or-conditional), data) -> Resolution
+        # (id(state-or-conditional), data) -> Resolution: one save per owner
         self._save_cache: dict[tuple[int, str], Resolution] = {}
+        # state id -> the tapes it pushes and the values it recomputes, in
+        # plan order: what its reversed state runs before the rules
+        self._prologues: dict[int, list[Resolution]] = {}
         self._counter = 0
 
     # ------------------------------------------------------------------ plan --
@@ -203,11 +204,8 @@ class StoragePlanner:
         self._build_candidates(uses)
         recomputed = self._recomputed()
         for req in self.required:
-            if req.key in recomputed:
-                resolution = self._materialize_recompute(self.candidates[req.key])
-                self.state_recomputes.setdefault(id(req.state), []).append(resolution)
-            else:
-                resolution = self._materialize(req)
+            resolution = (self._materialize_recompute(req) if req.key in recomputed
+                          else self._materialize(req))
             self._resolutions.setdefault((id(req.owner), req.data, req.role), resolution)
 
     # -- discovery ---------------------------------------------------------------
@@ -222,13 +220,9 @@ class StoragePlanner:
             if isinstance(element, ConditionalRegion):
                 if id(element) not in self.activity.active_conditionals:
                     continue
-                for condition, _ in element.branches:
-                    if condition is None:
-                        continue
-                    for sym in sorted(condition.free_symbols()):
-                        if sym in self.sdfg.arrays:
-                            self._add_required(uses, sym, "condition", element, None,
-                                               region, path, pos)
+                for sym in self._condition_containers(element):
+                    self._add_required(uses, sym, "condition", element, None,
+                                       region, path, pos)
             elif isinstance(element, State):
                 for node in element.nodes:
                     if node.node_id in self.activity.active_nodes:
@@ -325,33 +319,38 @@ class StoragePlanner:
 
     # -- materialisation --------------------------------------------------------------
     def _materialize(self, req: RequiredValue) -> Resolution:
+        """Resolve a stored value; every consumer of ``req.data`` in one
+        state (or one conditional's conditions) shares one save."""
         if not req.overwritten_after:
             return Resolution(kind="direct", container=req.data)
-        if req.enclosing_loops:
-            return self._materialize_tape(req)
-        return self._materialize_snapshot(req)
+        cache_key = (id(req.owner if req.state is None else req.state), req.data)
+        resolution = self._save_cache.get(cache_key)
+        if resolution is None:
+            if req.enclosing_loops:
+                resolution = self._materialize_tape(req)
+            else:
+                resolution = self._materialize_snapshot(req)
+            self._save_cache[cache_key] = resolution
+        return resolution
 
-    def _materialize_recompute(self, candidate: RematCandidate) -> Resolution:
+    def _materialize_recompute(self, req: RequiredValue) -> Resolution:
+        candidate = self.candidates[req.key]
         rename = {}
         for data in candidate.chain_transients:
             desc = self.sdfg.arrays[data]
             new_desc = self.sdfg.add_transient(f"__rc_{data}", desc.shape, desc.dtype,
                                                zero_init=desc.zero_init)
             rename[data] = new_desc.name
-        return Resolution(
+        resolution = Resolution(
             kind="recompute",
             container=rename[candidate.data],
             recompute_chain=list(candidate.chain),
             recompute_rename=rename,
         )
-
-    def _save_owner_key(self, req: RequiredValue) -> tuple[int, str]:
-        return (id(req.owner if req.state is None else req.state), req.data)
+        self._prologues.setdefault(id(req.state), []).append(resolution)
+        return resolution
 
     def _materialize_snapshot(self, req: RequiredValue) -> Resolution:
-        cache_key = self._save_owner_key(req)
-        if cache_key in self._save_cache:
-            return self._save_cache[cache_key]
         desc = self.sdfg.arrays[req.data]
         snap = self.sdfg.add_transient(f"__fwd_{req.data}", desc.shape, desc.dtype)
         copy_node = LibraryCall(
@@ -361,33 +360,27 @@ class StoragePlanner:
             label=f"save_{req.data}",
         )
         self._insert_save(req, [copy_node])
-        resolution = Resolution(kind="snapshot", container=snap.name)
-        self._save_cache[cache_key] = resolution
-        return resolution
+        return Resolution(kind="snapshot", container=snap.name)
 
     def _materialize_tape(self, req: RequiredValue) -> Resolution:
-        cache_key = self._save_owner_key(req)
-        if cache_key in self._save_cache:
-            return self._save_cache[cache_key]
+        """A stack of whole-container copies, ``tape[ptr, ...] = data`` then
+        ``ptr += 1``; :meth:`read_memlet` is the one reader of this layout."""
         desc = self.sdfg.arrays[req.data]
         capacity = conservative_capacity(req.enclosing_loops)
         tape = self.sdfg.add_transient(
             f"__tape_{req.data}", (capacity,) + tuple(desc.shape), desc.dtype
         )
         ptr = self.sdfg.add_transient(f"{tape.name}_ptr", (), np.int64, zero_init=True)
+        resolution = Resolution(kind="tape", container=tape.name, ptr=ptr.name)
 
-        # tape[ptr, ...] = data  (one map over the data's index space)
         params = [f"__s{i}" for i in range(desc.ndim)]
-        from repro.ir.subsets import Range as IRRange
-
-        ranges = [IRRange(Const(0), dim, Const(1)) for dim in desc.shape_exprs()]
-        element = [Index(Sym(p)) for p in params]
+        element = Subset.point(Sym(p) for p in params)
         save_node = MapCompute(
             params=params,
-            ranges=ranges,
+            ranges=list(Subset.full(desc.shape_exprs()).dims),
             expr=Sym("__val"),
-            inputs={"__val": Memlet(req.data, Subset(element) if element else Subset(()))},
-            output=Memlet(tape.name, Subset([Index(Sym(ptr.name))] + element)),
+            inputs={"__val": Memlet(req.data, element)},
+            output=self.read_memlet(resolution, Memlet(req.data, element)),
             label=f"tape_save_{req.data}",
         )
         bump = MapCompute(
@@ -396,14 +389,9 @@ class StoragePlanner:
             label=f"tape_bump_{req.data}",
         )
         self._insert_save(req, [save_node, bump])
-
-        # Register the pop (pointer decrement) with the owning state; the
-        # reversed conditional pops a taped condition through ``ptr``.
+        # A taped condition is popped by ``condition_values`` instead.
         if req.state is not None:
-            self.state_tape_pops.setdefault(id(req.state), []).append(ptr.name)
-
-        resolution = Resolution(kind="tape", container=tape.name, ptr=ptr.name)
-        self._save_cache[cache_key] = resolution
+            self._prologues.setdefault(id(req.state), []).append(resolution)
         return resolution
 
     def _insert_save(self, req: RequiredValue, nodes: list[ComputeNode]) -> None:
@@ -436,7 +424,9 @@ class StoragePlanner:
         return resolution
 
     def read_memlet(self, resolution: Resolution, original: Memlet) -> Memlet:
-        """Build the memlet the backward pass uses to read a required value."""
+        """The memlet reading ``original``'s elements of a required value:
+        the same subset of a direct, snapshot or recompute container, or
+        that subset of the tape's top entry."""
         if resolution.kind != "tape":
             return Memlet(resolution.container, original.subset)
         dims = [Index(Sym(resolution.ptr))]
@@ -446,3 +436,72 @@ class StoragePlanner:
             desc = self.sdfg.arrays[original.data]
             dims.extend(Subset.full(desc.shape).dims)
         return Memlet(resolution.container, Subset(dims))
+
+    def state_prologue(self, state: State) -> list[ComputeNode]:
+        """Nodes the reversed ``state`` runs before its rules: one pop per
+        tape the state pushes, then the recompute chains of the values its
+        rules read recomputed."""
+        saves = self._prologues.get(id(state), [])
+        pops = [_pop(resolution.ptr) for resolution in saves if resolution.kind == "tape"]
+        return pops + [
+            clone_node_with_rename(node, resolution.recompute_rename)
+            for resolution in saves if resolution.kind == "recompute"
+            for node in resolution.recompute_chain
+        ]
+
+    def condition_values(self, conditional: ConditionalRegion) -> tuple[list[ComputeNode],
+                                                                         dict[str, Expr]]:
+        """How the reversed ``conditional`` sees its forward branch
+        conditions: nodes that pop each taped condition back into its
+        container, and the substitution of each snapshotted one by its
+        copy."""
+        restores: list[ComputeNode] = []
+        rename: dict[str, Expr] = {}
+        for sym in self._condition_containers(conditional):
+            resolution = self.resolve(conditional, sym, "condition")
+            if resolution.kind == "tape":
+                restores.append(_pop(resolution.ptr))
+                restores.append(MapCompute(
+                    params=[], ranges=[], expr=Sym("__v"),
+                    inputs={"__v": self.read_memlet(resolution, Memlet(sym, Subset(())))},
+                    output=Memlet(sym, Subset(())),
+                    label=f"restore_{sym}",
+                ))
+            elif resolution.kind == "snapshot":
+                rename[sym] = Sym(resolution.container)
+        return restores, rename
+
+    def _condition_containers(self, conditional: ConditionalRegion) -> list[str]:
+        """Containers named by the conditional's branch conditions, each
+        once, in branch order."""
+        names: dict[str, None] = {}
+        for condition, _ in conditional.branches:
+            if condition is not None:
+                names.update(dict.fromkeys(sorted(condition.free_symbols() & self.sdfg.arrays.keys())))
+        return list(names)
+
+
+def _pop(ptr: str) -> MapCompute:
+    """``ptr -= 1``: the reversed iteration's pop of a tape."""
+    return MapCompute(
+        params=[], ranges=[], expr=Const(-1), inputs={},
+        output=Memlet(ptr, Subset(()), accumulate=True),
+        label=f"pop_{ptr}",
+    )
+
+
+def clone_node_with_rename(node: ComputeNode, rename: dict[str, str]) -> ComputeNode:
+    """Copy a compute node, renaming the containers its memlets reference."""
+
+    def rename_memlet(memlet: Memlet) -> Memlet:
+        return Memlet(rename.get(memlet.data, memlet.data), memlet.subset, memlet.accumulate)
+
+    inputs = {conn: rename_memlet(memlet) for conn, memlet in node.inputs.items()}
+    output = rename_memlet(node.output)
+    if isinstance(node, MapCompute):
+        return MapCompute(node.params, node.ranges, node.expr, inputs, output,
+                          label=f"rc_{node.label}")
+    if isinstance(node, LibraryCall):
+        return LibraryCall(node.kind, inputs, output, attrs=dict(node.attrs),
+                           label=f"rc_{node.label}")
+    raise AutodiffError(f"Cannot clone node {node!r}")

@@ -169,11 +169,6 @@ class SDFG:
 
         validate_sdfg(self)
 
-    def to_dot(self) -> str:
-        from repro.ir.dot import sdfg_to_dot
-
-        return sdfg_to_dot(self)
-
     def to_dict(self) -> dict:
         from repro.ir.serialize import sdfg_to_dict
 

@@ -7,6 +7,9 @@ import pytest
 import repro
 from repro.autodiff import LoopClass, classify_program_loops
 from repro.baselines.numerical import finite_difference_gradient
+from repro.ir import ConditionalRegion, LoopRegion, MapCompute, Memlet, SDFG, State, Subset
+from repro.symbolic import Sym, parse_expr
+from tests.dump_codegen import PROBES
 
 N = repro.symbol("N")
 T = repro.symbol("T")
@@ -15,6 +18,10 @@ T = repro.symbol("T")
 def rand(*shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random(shape) + 0.1
+
+
+#: (optimize, backend) pairs the storage-planner probes run at.
+BUILDS = [(level, backend) for level in ("O0", "O1", "O3") for backend in ("numpy", "cython")]
 
 
 def check_grad(program, args, wrt_index, wrt_name, rel=1e-4, **kwargs):
@@ -231,3 +238,66 @@ class TestTapeMechanics:
         df = repro.grad(f, wrt="A")
         A = rand(5)
         np.testing.assert_allclose(df(A.copy(), steps=0), np.ones(5))
+
+    @staticmethod
+    def _check_probe(name, args, optimize, backend, **kwargs):
+        """The ``PROBES`` gradient against finite differences of the O0
+        forward program; skipped when the native backend declines."""
+        program, wrt = PROBES[name]
+        df = repro.grad(program, wrt=wrt, optimize=optimize, backend=backend)
+        if df.report.backend != backend:
+            pytest.skip(f"native backend declined {name}: {df.report.backend_fallback}")
+        forward = repro.compile(program, optimize="O0")
+        expected = finite_difference_gradient(
+            lambda *a: forward(*[x.copy() for x in a], **kwargs), args, wrt=len(args) - 1)
+        actual = df(*[x.copy() for x in args], **kwargs)
+        np.testing.assert_allclose(actual, expected, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("optimize, backend", BUILDS)
+    @pytest.mark.parametrize("name", ["max_taped_output", "min_taped_output"])
+    def test_taped_reduction_output(self, name, optimize, backend):
+        """The extremum rule reads the reduction's output value, rewritten
+        every iteration, off the tape at the current iteration's entry."""
+        self._check_probe(name, (rand(5, 5), rand(5, seed=1)), optimize, backend, steps=3)
+
+    @pytest.mark.parametrize("optimize, backend", BUILDS)
+    @pytest.mark.parametrize("x0", [0.1, 0.9])
+    def test_snapshotted_condition(self, x0, optimize, backend):
+        """The condition container is overwritten after the conditional with
+        the value that takes the other branch; the reversed conditional must
+        test the snapshot."""
+        x = rand(6)
+        x[0] = x0
+        self._check_probe("condition_snapshot", (x,), optimize, backend)
+
+    @pytest.mark.parametrize("optimize", ["O0", "O1"])
+    def test_condition_named_by_two_branches_is_popped_once(self, optimize):
+        """``if c > 0.2: ... elif c < -0.2: ...`` in a loop: ``c`` is pushed
+        once per iteration, so the reversed conditional pops it once."""
+        sdfg = SDFG("two_branch_condition")
+        sdfg.add_array("x", (4,), "float64")
+        sdfg.add_array("c", (), "float64", transient=True)
+        sdfg.add_array("acc", (), "float64", transient=True, zero_init=True)
+        sdfg.arg_names = ["x"]
+        sdfg.return_name = "acc"
+
+        def scalar(expr, output, accumulate=False):
+            return MapCompute(params=[], ranges=[], expr=parse_expr(expr),
+                              inputs={"a": Memlet("x", Subset.point([Sym("t")]))},
+                              output=Memlet(output, Subset(()), accumulate=accumulate))
+
+        loop = LoopRegion("t", 0, 4)
+        loop.body.add(State("set_c")).add(scalar("a - 0.5", "c"))
+        conditional = loop.body.add(ConditionalRegion(label="branch"))
+        conditional.add_branch(parse_expr("c > 0.2")).add_state("hi").add(
+            scalar("sin(a) * a", "acc", accumulate=True))
+        conditional.add_branch(parse_expr("c < -0.2")).add_state("lo").add(
+            scalar("cos(a) * a", "acc", accumulate=True))
+        sdfg.root.add(loop)
+
+        x = np.array([0.9, 0.1, 0.95, 0.05])
+        forward = repro.compile(sdfg, optimize="O0")
+        expected = finite_difference_gradient(lambda a: forward(a.copy()), (x,))
+        df = repro.grad(sdfg, wrt="x", optimize=optimize)
+        np.testing.assert_allclose(df(x.copy()), expected, rtol=1e-6, atol=1e-8)
+

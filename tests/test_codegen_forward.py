@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.ir import MapCompute, Memlet, Range, SDFG, Subset
+from repro.pipeline import compile_forward
+from repro.symbolic import Const, Sym, parse_expr
 
 N = repro.symbol("N")
 M = repro.symbol("M")
@@ -266,6 +269,30 @@ class TestGeneratedCode:
         assert "np.sum" in compiled.source
         # Whole-array elementwise operations must not be emitted as Python loops.
         assert "for " not in compiled.source
+
+    @pytest.mark.parametrize("optimize", ["O0", "O1"])
+    @pytest.mark.parametrize("backend", ["numpy", "cython"])
+    def test_map_whose_parameter_misses_its_output_runs_as_loops(self, backend, optimize):
+        """A non-accumulating map writing ``out = 2 * A[i]`` for every ``i``
+        leaves the last iteration's value.  No slice expression says that, so
+        the NumPy emitter writes the map as explicit loops."""
+        sdfg = SDFG("last_iteration_wins")
+        sdfg.add_symbol("N")
+        sdfg.add_array("A", (Sym("N"),), "float64")
+        sdfg.add_array("__return", (), "float64", transient=True)
+        sdfg.arg_names = ["A"]
+        sdfg.return_name = "__return"
+        sdfg.add_state("last").add(MapCompute(
+            params=["i"], ranges=[Range(Const(0), Sym("N"), Const(1))], expr=parse_expr("2 * a"),
+            inputs={"a": Memlet("A", Subset.point([Sym("i")]))},
+            output=Memlet("__return", Subset(()))))
+        outcome = compile_forward(sdfg, optimize=optimize, backend=backend, cache=False)
+        if outcome.report.backend != backend:
+            pytest.skip(f"native backend declined: {outcome.report.backend_fallback}")
+        if backend == "numpy":
+            assert "for i in range(0, N):" in outcome.compiled.source
+        A = rand(7)
+        assert outcome.compiled(A) == pytest.approx(2 * A[-1])
 
     def test_matmul_uses_blas_call(self):
         @repro.program

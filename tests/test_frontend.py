@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.baselines.numerical import finite_difference_gradient
 from repro.ir import ConditionalRegion, LibraryCall, LoopRegion, MapCompute
 from repro.util.errors import FrontendError, UnsupportedFeatureError
 
@@ -222,3 +223,89 @@ class TestNoCodeChanges:
 
         result = kernel_repro(A1.copy(), B1.copy(), TSTEPS=3)
         assert result == pytest.approx(expected)
+
+
+@repro.program
+def reshape_function(A: repro.float64[N, M]):
+    B = np.reshape(A, (-1,))
+    return np.sum(B[1:] * B[:-1])
+
+
+@repro.program
+def reshape_method(A: repro.float64[N, M]):
+    B = A.reshape((-1, 2))
+    return np.sum(np.sin(B[:, 1:]) * B[:, :-1])
+
+
+@repro.program
+def copy_function(A: repro.float64[N]):
+    B = np.copy(A)
+    B[1:] = B[1:] * B[:-1]
+    return np.sum(B * A)
+
+
+@repro.program
+def copy_method(A: repro.float64[N]):
+    B = A.copy()
+    B[:] = np.sin(B)
+    return np.sum(B * A)
+
+
+@repro.program
+def zeros_with_dtype(A: repro.float64[6]):
+    B = np.zeros((6,), dtype=np.float64)
+    B[:] = A * A
+    return np.sum(B)
+
+
+@repro.program
+def and_in_if(A: repro.float64[N]):
+    if A[0] > 0.5 and A[1] > 0.5:
+        s = np.sum(np.sin(A) * A)
+    else:
+        s = np.sum(np.cos(A) * A)
+    return s
+
+
+@repro.program
+def if_expression(A: repro.float64[N]):
+    B = np.sin(A) if A[0] > 0.5 else np.cos(A)
+    return np.sum(B * A)
+
+
+def _vector(*head):
+    """A length-6 input whose leading entries are ``head`` (they pick the
+    branch: ``and`` of one true and one false comparison is false)."""
+    A = np.random.default_rng(0).random(6) + 0.1
+    A[:len(head)] = head
+    return A
+
+
+#: form -> (program, input): lowerings no other test or fuzz program reaches
+#: (reshape, copy, creation dtype, ``and``, conditional expression).  The
+#: bodies name no symbol, so NumPy runs them undecorated.
+LOWERED_FORMS = {
+    "np.reshape": (reshape_function, np.random.default_rng(1).random((3, 4))),
+    "ndarray.reshape": (reshape_method, np.random.default_rng(2).random((3, 4))),
+    "np.copy": (copy_function, _vector()),
+    "ndarray.copy": (copy_method, _vector()),
+    "np.zeros(dtype=)": (zeros_with_dtype, _vector()),
+    "and in if": (and_in_if, _vector(0.7, 0.3)),
+    "if expression": (if_expression, _vector(0.7)),
+}
+
+
+@pytest.mark.parametrize("optimize", ["O0", "O1"])
+@pytest.mark.parametrize("backend", ["numpy", "cython"])
+@pytest.mark.parametrize("form", list(LOWERED_FORMS))
+def test_lowered_form_gradient_matches_numpy(form, backend, optimize):
+    """The gradient of each form against finite differences of the
+    undecorated function run by NumPy, so the lowering's semantics are
+    checked as well as its reversal."""
+    program, A = LOWERED_FORMS[form]
+    df = repro.grad(program, wrt="A", optimize=optimize, backend=backend)
+    if df.report.backend != backend:
+        pytest.skip(f"native backend declined {form}: {df.report.backend_fallback}")
+    expected = finite_difference_gradient(program.func, (A,))
+    np.testing.assert_allclose(df(A.copy()), expected, rtol=1e-5, atol=1e-7)
+
