@@ -68,14 +68,6 @@ def cond(predicate, true_fn: Callable, false_fn: Callable, *operands):
     return false_fn(*operands)
 
 
-def fori_loop(lower: int, upper: int, body_fn: Callable, init_val):
-    """``for i in range(lower, upper): val = body_fn(i, val)`` functionally."""
-    value = init_val
-    for i in range(int(_value_of(lower)), int(_value_of(upper))):
-        value = body_fn(i, value)
-    return value
-
-
 def scan(body_fn: Callable, init_carry, xs=None, length: int | None = None):
     """Functional sequential loop.
 

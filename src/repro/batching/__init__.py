@@ -9,7 +9,7 @@ requests (the serving direction of the ROADMAP):
   SDFG by a leading *symbolic* batch dimension — every batched array, map
   and memlet gains the dimension, library calls are rewritten by per-kind
   batching rules, unbatched operands broadcast.  The result is an ordinary
-  SDFG, so the optimization tiers, the cost model, reverse-mode AD and the
+  SDFG, so the optimization tiers, reverse-mode AD and the
   compilation cache apply unchanged; ``vmap(grad(f))`` and
   ``grad(vmap(f))`` both work, and one cache entry serves every batch size.
 * **The runtime** lives in :mod:`repro.serve`:

@@ -20,8 +20,8 @@ that reads batched data becomes batched itself, to a fixed point.  Arguments
 with ``in_axes=None`` must stay unbatched — a program that writes one is
 rejected (the write would race across samples).
 
-The result is an ordinary SDFG: the optimization tiers (``O0``–``O3``), the
-cost model, reverse-mode AD and the compilation cache all apply unchanged,
+The result is an ordinary SDFG: the optimization tiers (``O0``–``O3``),
+reverse-mode AD and the compilation cache all apply unchanged,
 and because ``B`` is symbolic (inferred from argument shapes at call time,
 like every other size symbol) one compilation serves **any** batch size.
 """

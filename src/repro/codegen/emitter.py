@@ -180,7 +180,7 @@ class SourceEmitter:
         return set(self.sdfg.arrays) | set(self.sdfg.symbols)
 
     def _emit_map(self, node: MapCompute) -> None:
-        vectorized = try_vectorize_map(node, taken=self._scope_names(), sdfg=self.sdfg)
+        vectorized = try_vectorize_map(node, taken=self._scope_names())
         if vectorized is not None:
             for line in vectorized:
                 self.emit(line)

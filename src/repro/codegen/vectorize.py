@@ -13,8 +13,8 @@ from typing import Optional
 
 from repro.codegen.subexpr import hoist_common_subexpressions
 from repro.ir.nodes import MapCompute
-from repro.ir.subsets import Index, Range, Subset
-from repro.symbolic import Const, Expr, Sym, to_python
+from repro.ir.subsets import Range, Subset
+from repro.symbolic import Const, Expr, to_python
 from repro.symbolic.affine import affine_coefficients
 from repro.symbolic.simplify import simplify
 
@@ -131,17 +131,13 @@ def try_vectorize_map(
     node: MapCompute,
     rename_extra: Optional[dict] = None,
     taken: "Optional[set[str]]" = None,
-    sdfg=None,
 ) -> Optional[list[str]]:
     """Emit a vectorised NumPy statement for a map, or ``None`` to fall back.
 
     The returned value is a list of source lines (without indentation).
     ``taken`` names identifiers already in scope of the generated function
     (containers, symbols, parameters) that hoisted temporaries must not
-    shadow.  When ``sdfg`` is given (needed for array-bounds proofs),
-    offset-shifted subtree families — producers fused at several stencil
-    offsets — are evaluated once over their union window in a ``__stencil``
-    temporary instead of once per offset (:mod:`repro.codegen.stencil`).
+    shadow.
     """
     output_ref = vectorize_memlet(node.output.data, node.output.subset, node)
     if output_ref is None:
@@ -152,19 +148,6 @@ def try_vectorize_map(
         if ref is None:
             return None
         input_refs[conn] = ref
-
-    expr = node.expr
-    pre_lines: list[str] = []
-    if sdfg is not None and node.params:
-        hoisted = _hoist_windows(node, sdfg, taken)
-        if hoisted is not None:
-            pre_lines, expr, extra_refs = hoisted
-            input_refs.update(extra_refs)
-            # Connectors fully absorbed into window temporaries no longer
-            # appear in the expression; drop them so they cannot distort the
-            # reduction-axis layout below.
-            live = expr.free_symbols()
-            input_refs = {c: r for c, r in input_refs.items() if c in live}
 
     out_params = output_ref.params_in_order
     missing_from_output = [p for p in node.params if p not in out_params]
@@ -194,9 +177,9 @@ def try_vectorize_map(
     # into temporaries; np.where evaluates eagerly, so this never changes
     # which subexpressions get evaluated.
     bindings, residual = hoist_common_subexpressions(
-        expr, taken=set(taken or ()) | set(rename)
+        node.expr, taken=set(taken or ()) | set(rename)
     )
-    lines = list(pre_lines) + [
+    lines = [
         f"{name} = {to_python(value, rename=rename, vectorized=True)}"
         for name, value in bindings
     ]
@@ -229,40 +212,3 @@ def try_vectorize_map(
     op = "+=" if node.output.accumulate else "="
     lines.append(f"{target} {op} {rhs}")
     return lines
-
-
-def _hoist_windows(node: MapCompute, sdfg, taken):
-    """Render offset-shifted subtree families as union-window temporaries.
-
-    Returns ``(lines, rewritten_expr, extra_refs)`` — the binding statements,
-    the map expression with families replaced by virtual connectors, and the
-    :class:`SlicedRef` for each virtual connector — or ``None`` when nothing
-    hoists or a binding cannot be vectorised (the caller then emits the
-    expression inline, which is always semantically valid).
-    """
-    from repro.codegen.stencil import build_shape_env, hoist_offset_families
-
-    reserved = set(taken or ()) | set(node.inputs) | set(node.params)
-    hoisted = hoist_offset_families(node, build_shape_env(sdfg), reserved)
-    if hoisted is None:
-        return None
-    lines: list[str] = []
-    for binding in hoisted.bindings:
-        rendered = try_vectorize_map(binding, taken=reserved)
-        if rendered is None:
-            return None
-        # The pseudo node's "output" is the whole window; rebind the bare
-        # name instead of copying into a pre-allocated array.
-        prefix = f"{binding.output.data}["
-        if not rendered[-1].startswith(prefix) or " = " not in rendered[-1]:
-            return None
-        _, rhs = rendered[-1].split(" = ", 1)
-        rendered[-1] = f"{binding.output.data} = {rhs}"
-        lines.extend(rendered)
-    extra_refs: dict[str, SlicedRef] = {}
-    for conn, memlet in hoisted.virtual_inputs.items():
-        ref = vectorize_memlet(memlet.data, memlet.subset, node)
-        if ref is None:
-            return None
-        extra_refs[conn] = ref
-    return lines, hoisted.expr, extra_refs

@@ -36,7 +36,6 @@ Outcomes are three-valued, and the distinction is the whole point:
 from __future__ import annotations
 
 import random
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -468,10 +467,6 @@ def reproduces(program: FuzzProgram, signature: FailureSignature,
     except Exception:  # noqa: BLE001 - invalid shrink candidate
         return False
     return outcome.status == "fail" and outcome.error_type == signature.error_type
-
-
-def format_traceback(exc: BaseException) -> str:
-    return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
 
 __all__ = [

@@ -139,9 +139,6 @@ class ConditionalRegion:
         self.branches.append((condition_expr, region))
         return region
 
-    def has_else(self) -> bool:
-        return any(cond is None for cond, _ in self.branches)
-
     def read_data(self) -> OrderedSet[str]:
         result: OrderedSet[str] = OrderedSet()
         for _, region in self.branches:

@@ -73,9 +73,6 @@ class ComputeNode(Node):
     def written_data(self) -> str:
         return self.output.data
 
-    def input_memlets_for(self, data: str) -> list[tuple[str, Memlet]]:
-        return [(conn, m) for conn, m in self.inputs.items() if m.data == data]
-
     def free_symbols(self) -> set[str]:
         symbols: set[str] = set()
         for memlet in self.inputs.values():

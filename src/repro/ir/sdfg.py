@@ -129,10 +129,6 @@ class SDFG:
         """Non-transient containers in signature order."""
         return [name for name in self.arg_names if name in self.arrays]
 
-    @property
-    def argument_symbols(self) -> list[str]:
-        return [name for name in self.arg_names if name in self.symbols]
-
     def transients(self) -> list[str]:
         return [name for name, desc in self.arrays.items() if desc.transient]
 

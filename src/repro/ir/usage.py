@@ -23,7 +23,7 @@ they have no node to rewrite, so passes must leave such containers alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.ir.control_flow import (
     ConditionalRegion,
@@ -112,16 +112,6 @@ class UseSites:
         if len({id(site.node) for site in self.reads}) != 1:
             return None
         return self.reads[0].node
-
-    def traffic_sites(self) -> Iterator[UseSite]:
-        """Every use site that moves this container's data through a memlet,
-        writes then reads (accumulating writes appear once per role).  The
-        site's node provides the iteration-domain context a per-element map
-        memlet needs; summed by
-        :meth:`repro.passes.cost.CostModel.container_traffic_bytes` into the
-        per-container traffic figure passes can query."""
-        yield from self.writes
-        yield from self.reads
 
 
 class ProgramUses(dict):

@@ -111,7 +111,3 @@ def softmax_backward(gout: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndar
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
-
-
-def relu_backward(gout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return gout * (x > 0)

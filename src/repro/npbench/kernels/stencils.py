@@ -402,10 +402,7 @@ _spec("adi", "numerical methods", {"S": {"N": 8, "TSTEPS": 2}, "paper": {"N": 64
 # A feed-forward cascade of two-point smoothing stages (a binomial filter
 # written statement-per-stage, the way stencil codes compose operators).
 # Every stage reads its predecessor at two *distinct* offsets, so nothing
-# here fuses at O2; optimize="O3" fuses the whole cascade into one map and
-# evaluates each stage once over its union window (offset-shifted hoisting)
-# — the showcase for the cost-model fusion tier, measured by
-# benchmarks/bench_o3_stencil_fusion.py.
+# here fuses at any tier: each stage stays a materialised transient.
 def _smooth_chain_init(N, seed=42):
     rng = rng_for(seed)
     return {"A": positive(rng, N)}
@@ -450,4 +447,4 @@ _spec("smooth_chain", "stencil", {"S": {"N": 32}, "paper": {"N": 400000}},
       _smooth_chain_init, _smooth_chain_numpy, _smooth_chain_program,
       _smooth_chain_jax, wrt="A",
       notes="eight-stage binomial smoothing cascade; every stage reads two "
-            "distinct offsets, so only the O3 cost-model fusion tier fuses it")
+            "distinct offsets, so no tier fuses it")

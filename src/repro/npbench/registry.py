@@ -76,9 +76,6 @@ class KernelSpec:
         except TypeError:
             return self.make_program()
 
-    def numpy_argument_names(self) -> list[str]:
-        return [p for p in inspect.signature(self.numpy_fn).parameters]
-
     def run_numpy(self, data: dict) -> float:
         kwargs = {k: np.array(v, copy=True) if isinstance(v, np.ndarray) else v
                   for k, v in data.items()}

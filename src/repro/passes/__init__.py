@@ -18,22 +18,14 @@
   map execution (every tier but ``optimize="O0"``, docs/memory-planning.md).
 * :mod:`repro.passes.fusion` - map fusion: inlining element-wise producers
   into their sole consumer, eliminating materialised intermediate arrays
-  (``optimize="O2"``); with a cost model also across distinct stencil
-  offsets and gradient-aware (``optimize="O3"``).
-* :mod:`repro.passes.cost` - the combined FLOP + memory-traffic cost model
-  that prices those decisions (``optimize="O3"``, docs/cost-model.md).
+  (``optimize="O2"``); at ``optimize="O3"`` a NumPy gradient compile also
+  declines the fusions whose value the backward pass would recompute.
 
 These modules implement the raw SDFG-to-SDFG rewrites; the pipeline stage
 wrappers that run them (with cache fingerprints and report notes) live in
 :mod:`repro.pipeline.stages`.
 """
 
-from repro.passes.cost import (
-    CostModel,
-    CostModelConfig,
-    FusionDecision,
-    summarize_decisions,
-)
 from repro.passes.flops import (
     count_node_flops,
     count_sdfg_flops,
@@ -48,10 +40,6 @@ from repro.passes.planning import MemoryPlan, apply_memory_plan, plan_memory
 from repro.passes.simplification import eliminate_dead_code, prune_constant_branches
 
 __all__ = [
-    "CostModel",
-    "CostModelConfig",
-    "FusionDecision",
-    "summarize_decisions",
     "count_node_flops",
     "count_state_flops",
     "count_sdfg_flops",

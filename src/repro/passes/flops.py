@@ -28,8 +28,9 @@ from repro.symbolic.simplify import simplify
 def expr_op_count(expr: Expr) -> int:
     """Number of scalar floating-point operations in one tasklet evaluation.
 
-    This is the per-element FLOP model shared by the ILP checkpointing
-    formulation and the O3 fusion cost model (:mod:`repro.passes.cost`)."""
+    This is the per-element FLOP model of the ILP checkpointing formulation;
+    the O3 fusion rule reads it to tell a producer that does arithmetic from
+    a copy."""
     if isinstance(expr, (Const, Sym)):
         return 0
     if isinstance(expr, UnOp):

@@ -28,23 +28,17 @@ A producer/consumer pair ``(P, C)`` over transient ``T`` is fused when
 * ``C`` does not write a container ``P`` reads — the fused body would
   otherwise interleave ``P``'s loads with ``C``'s stores.
 
-Reads at a *single* common subset always qualify (the ``"O2"`` tier).  Reads
-at **several distinct offsets** (stencil neighbourhoods, ``u[2:] - u[:-2]``)
-additionally require a cost model: inlining duplicates the producer's tree
-once per offset, which is only worth it when code generation can evaluate
-the duplicates once over their union window (offset-shifted hoisting,
-:mod:`repro.codegen.stencil`) or when the modelled recompute cost stays
-below the saved memory traffic.  Pass a
-:class:`~repro.passes.cost.CostModel` to enable this (the ``"O3"`` tier);
-without one the O2 behaviour — skip distinct offsets — is preserved.
+Every read must use one common subset.  Reads at several distinct offsets
+(stencil neighbourhoods, ``u[2:] - u[:-2]``) never fuse: inlining would
+evaluate the producer once per offset.
 
-With ``gradient_aware=True`` (and a cost model) fusion also prices the
-backward pass: a transient whose value the AD rules would read (the
-consumer is *nonlinear* in it, e.g. ``maximum(pre, 0)`` needs ``pre`` to
-gate the gradient) must be recomputed element-wise inside every gradient
-map once it is fused away.  Such candidates are declined when the modelled
-backward recomputation outweighs the forward traffic saved — closing the
-"fused forward, slower gradient" regression recorded for O2.
+With ``decline_recompute=True`` (an ``"O3"`` gradient compile on the
+``numpy`` backend) one more candidate is declined: the producer does
+arithmetic and a partial derivative of the consumer reads the transient
+(the consumer is *nonlinear* in it, e.g. ``maximum(pre, 0)`` needs ``pre``
+to gate the gradient).  Fused away, that value would be recomputed
+element-wise, one vectorised NumPy statement per operation, inside every
+backward map that reads it.
 
 The rewrite composes index functions: producer parameter ``k`` is replaced
 by the consumer-side index expression of the read, so the producer's input
@@ -55,9 +49,7 @@ substitutes mathematically identical expressions, so gradients remain exact.
 Repeated subexpressions created by inlining (a connector used several times
 in the consumer expression) are handled downstream: connector-level CSE
 merges duplicate memlets here, and code generation hoists repeated
-subexpressions into temporaries (:mod:`repro.codegen.subexpr`) and
-offset-shifted producer copies into union-window temporaries
-(:mod:`repro.codegen.stencil`).
+subexpressions into temporaries (:mod:`repro.codegen.subexpr`).
 """
 
 from __future__ import annotations
@@ -70,15 +62,9 @@ from repro.ir import MapCompute, Memlet, SDFG, State
 from repro.ir.control_flow import ControlFlowRegion
 from repro.ir.subsets import Index
 from repro.ir.usage import UseSite, UseSites, collect_uses, is_identity_elementwise_write
+from repro.passes.flops import expr_op_count
 from repro.passes.gvn import dedupe_connectors
-from repro.symbolic import (
-    Const,
-    Expr,
-    Sym,
-    diff,
-    substitute,
-)
-from repro.symbolic.affine import unit_shift, window_fits
+from repro.symbolic import Expr, Sym, diff, substitute
 from repro.symbolic.simplify import simplify
 
 
@@ -107,18 +93,16 @@ def _consumer_read_indices(
     return tuple(dim.value for dim in dims)
 
 
-def _consumer_groups(sites: UseSites) -> Optional[tuple]:
-    """If all reads are by one node through connectored memlets, return
-    ``(consumer_site, groups)`` with the connectors grouped by read subset
-    (one group per distinct offset); else ``None``."""
+def _consumer_connectors(sites: UseSites) -> Optional[tuple]:
+    """If all reads are by one node through connectored memlets at one
+    common subset, return ``(consumer_site, connectors)``; else ``None``."""
     if sites.sole_reader() is None:
         return None
     if any(read.conn is None for read in sites.reads):
         return None  # accumulate-read of the transient itself
-    groups: dict = {}
-    for read in sites.reads:
-        groups.setdefault(read.memlet.subset, []).append(read.conn)
-    return sites.reads[0], list(groups.items())
+    if len({read.memlet.subset for read in sites.reads}) != 1:
+        return None  # several offsets: fusing would recompute per offset
+    return sites.reads[0], [read.conn for read in sites.reads]
 
 
 def _clear_window(
@@ -147,114 +131,24 @@ def _clear_window(
     return True
 
 
-def _offset_info(
-    producer: MapCompute,
-    consumer: MapCompute,
-    group_indices: list[tuple[list[str], tuple[Expr, ...]]],
-) -> tuple[list[tuple[int, ...]], bool, Optional[list[Expr]]]:
-    """Classify a multi-offset read pattern.
-
-    Returns ``(offsets, hoistable, dim_lengths)``: one integer offset tuple
-    per group; whether code generation will evaluate the inlined producer
-    once over the union window (offset-shifted hoisting); and, for pure
-    shift patterns, the consumer-side iteration length per producer
-    dimension (for the cost model's window-overhang estimate).
-
-    ``hoistable`` mirrors the conditions of :mod:`repro.codegen.stencil`
-    *and* the vectorizer constraints its bindings must satisfy: pure
-    ``param + const`` reads with a distinct consumer parameter per dimension
-    in increasing parameter order, normalised ranges, non-negative offsets,
-    and a union window provably inside the producer's domain.  Non-shift
-    patterns yield zero offset tuples (their count still prices the
-    per-offset recompute) and ``hoistable=False``.
-    """
-    ndims = len(producer.params)
-    consumer_ranges = dict(zip(consumer.params, consumer.ranges))
-    offsets: list[tuple[int, ...]] = []
-    dim_params: list[Optional[str]] = [None] * ndims
-    pure_shift = True
-    for _, indices in group_indices:
-        shifts = []
-        for dim, expr in enumerate(indices):
-            # Shared classifier with codegen's stencil hoisting
-            # (repro/symbolic/affine.py), so pricing and emission agree on
-            # what counts as a pure shift.
-            shift = unit_shift(expr, consumer.params)
-            if shift is None or (dim_params[dim] not in (None, shift[0])):
-                pure_shift = False
-                break
-            param, constant = shift
-            dim_params[dim] = param
-            shifts.append(constant)
-        if not pure_shift:
-            break
-        offsets.append(tuple(shifts))
-    if not pure_shift:
-        return [(0,) * ndims for _ in group_indices], False, None
-
-    dim_lengths = [
-        consumer_ranges[dim_params[dim]].length_expr() for dim in range(ndims)
-    ]
-    hoistable = len(set(dim_params)) == ndims  # one distinct param per dim
-    if hoistable:
-        # The hoisted binding's slices need the parameters in increasing
-        # axis order (vectorizer constraint, repro/codegen/vectorize.py).
-        order = [consumer.params.index(p) for p in dim_params]
-        hoistable = order == sorted(order)
-    for dim in range(ndims):
-        if not hoistable:
-            break
-        rng = consumer_ranges[dim_params[dim]]
-        if simplify(rng.start) != Const(0) or simplify(rng.step) != Const(1):
-            hoistable = False
-            break
-        lo = min(group[dim] for group in offsets)
-        hi = max(group[dim] for group in offsets)
-        if lo < 0:
-            # A negative offset with a zero-based consumer range means the
-            # original program read T[-1] (NumPy wrap semantics the composed
-            # indices would not preserve); the frontend never lowers to this
-            # shape, so stay conservative rather than model it.
-            hoistable = False
-            break
-        # Shared bounds proof with codegen's union-window hoisting
-        # (repro/symbolic/affine.py), so a candidate priced hoistable is
-        # exactly one codegen will hoist.
-        if not window_fits(producer.ranges[dim].stop, rng.stop, hi):
-            hoistable = False
-            break
-    return offsets, hoistable, dim_lengths
-
-
-def _backward_value_uses(sdfg: SDFG, consumer: MapCompute,
-                         transient_conns: Iterable[str]) -> int:
-    """Number of backward-pass maps that would read the transient's stored
-    value: one per float input connector whose partial derivative of the
-    consumer expression references the transient (nonlinear consumption)."""
-    conns = set(transient_conns)
-    uses = 0
+def _derivative_reads(sdfg: SDFG, consumer: MapCompute, conns: list[str]) -> bool:
+    """True if a partial derivative of the consumer expression by one of its
+    float inputs references a connector in ``conns``: the backward pass
+    would read the transient's value (nonlinear consumption)."""
     for conn, memlet in consumer.inputs.items():
         desc = sdfg.arrays.get(memlet.data)
         if desc is None or not np.issubdtype(desc.dtype, np.floating):
             continue
-        derivative = simplify(diff(consumer.expr, conn))
-        if derivative == Const(0):
-            continue
-        if conns & derivative.free_symbols():
-            uses += 1
-    return uses
+        if set(conns) & simplify(diff(consumer.expr, conn)).free_symbols():
+            return True
+    return False
 
 
 def _inline(sdfg: SDFG, producer: MapCompute, consumer: MapCompute,
             conns: list[str]) -> None:
     """Substitute the producer's expression into the consumer for every
     connector in ``conns`` (all reading the producer's output with the same
-    subset), merging the producer's re-indexed input memlets.
-
-    Connector-level deduplication is the *caller's* job, after every offset
-    group has been inlined: deduping here would delete a later group's
-    duplicate connectors out from under it.
-    """
+    subset), merging the producer's re-indexed input memlets."""
     read_memlet = consumer.inputs[conns[0]]
     indices = _consumer_read_indices(read_memlet, len(producer.params))
     param_map = dict(zip(producer.params, indices))
@@ -282,17 +176,16 @@ def _inline(sdfg: SDFG, producer: MapCompute, consumer: MapCompute,
 def fuse_elementwise_maps(
     sdfg: SDFG,
     protect: Iterable[str] = (),
-    cost_model=None,
-    gradient_aware: bool = False,
+    decline_recompute: bool = False,
+    declined: Optional[set[str]] = None,
 ) -> int:
     """Fuse producer/consumer element-wise map pairs until a fixed point.
 
     ``protect`` names containers that must stay materialised (user-selected
     gradient targets); the return container is always protected.
-    ``cost_model`` (a :class:`~repro.passes.cost.CostModel`) enables
-    multi-offset stencil fusion and prices every candidate; ``gradient_aware``
-    additionally charges backward-pass recomputation for values the AD rules
-    would read (see module docstring).  Returns the number of producers
+    ``decline_recompute`` keeps a transient whose value the backward pass
+    would have to recompute (see module docstring); the names it keeps are
+    added to ``declined`` when given.  Returns the number of producers
     inlined (equivalently, transient arrays eliminated).
     """
     protected = set(protect)
@@ -301,13 +194,18 @@ def fuse_elementwise_maps(
         protected.add(return_name)
 
     fused = 0
-    while _fuse_one(sdfg, protected, cost_model, gradient_aware):
+    while True:
+        kept: set[str] = set()
+        if not _fuse_one(sdfg, protected, decline_recompute, kept):
+            break
         fused += 1
+    if declined is not None:
+        declined |= kept
     return fused
 
 
-def _fuse_one(sdfg: SDFG, protected: set[str], cost_model,
-              gradient_aware: bool) -> bool:
+def _fuse_one(sdfg: SDFG, protected: set[str], decline_recompute: bool,
+              declined: set[str]) -> bool:
     uses = collect_uses(sdfg)
     for name, desc in sdfg.arrays.items():
         if not desc.transient or name in protected:
@@ -319,29 +217,16 @@ def _fuse_one(sdfg: SDFG, protected: set[str], cost_model,
         producer = producer_site.node
         if not is_identity_elementwise_write(producer, desc):
             continue
-        grouped = _consumer_groups(sites)
-        if grouped is None:
+        found = _consumer_connectors(sites)
+        if found is None:
             continue
-        consumer_site, groups = grouped
+        consumer_site, conns = found
         consumer = consumer_site.node
         if consumer is producer or not isinstance(consumer, MapCompute):
             continue
         if consumer_site.region is not producer_site.region:
             continue
-        if len(groups) > 1 and cost_model is None:
-            # O2 behaviour: reads at several distinct offsets would duplicate
-            # the producer's work; only the cost-model tier may decide that.
-            continue
-        group_indices = []
-        for subset, conns in groups:
-            indices = _consumer_read_indices(
-                consumer.inputs[conns[0]], len(producer.params)
-            )
-            if indices is None:
-                group_indices = None
-                break
-            group_indices.append((conns, indices))
-        if group_indices is None:
+        if _consumer_read_indices(consumer.inputs[conns[0]], len(producer.params)) is None:
             continue
         producer_reads = {m.data for m in producer.inputs.values()}
         if consumer.output.data == name or consumer.output.data in producer_reads:
@@ -353,26 +238,14 @@ def _fuse_one(sdfg: SDFG, protected: set[str], cost_model,
             producer_reads | {name},
         ):
             continue
-        if cost_model is not None:
-            offsets, hoistable, dim_lengths = _offset_info(
-                producer, consumer, group_indices
-            )
-            backward_uses = 0
-            if gradient_aware:
-                backward_uses = _backward_value_uses(
-                    sdfg, consumer, [c for conns, _ in group_indices for c in conns]
-                )
-            decision = cost_model.price_fusion(
-                producer, consumer, name,
-                offsets=offsets, hoistable=hoistable,
-                backward_value_uses=backward_uses,
-                dim_lengths=dim_lengths,
-                gradient_mode=gradient_aware,
-            )
-            if not decision.fuse:
-                continue
-        for conns, _ in group_indices:
-            _inline(sdfg, producer, consumer, conns)
+        if (
+            decline_recompute
+            and expr_op_count(producer.expr) > 0
+            and _derivative_reads(sdfg, consumer, conns)
+        ):
+            declined.add(name)
+            continue
+        _inline(sdfg, producer, consumer, conns)
         dedupe_connectors(consumer)
         producer_site.state.nodes.remove(producer)
         del sdfg.arrays[name]

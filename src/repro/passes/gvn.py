@@ -37,8 +37,7 @@ Scope and safety:
 
 Every merged duplicate also removes one container from the program before
 AD runs — the backward pass then stores and streams one value instead of
-two, the saved-traffic credit the cost model prices via
-``repro.passes.cost.BACKWARD_TRAFFIC_CREDIT``.
+two.
 """
 
 from __future__ import annotations

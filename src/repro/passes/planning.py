@@ -20,9 +20,8 @@ ones:
 Planning is *size-aware*, not equal-shape-only: a guest fits a buffer when
 dtypes match, ranks match and every host dimension is **provably** at least
 the guest dimension — proven over the symbolic shapes by
-:func:`repro.symbolic.affine.window_fits`, the bounds proof fusion and
-stencil hoisting use (``N - 3 <= N - 1`` holds for every ``N``; anything it
-cannot decide does not fit).  When a guest is renamed into a larger buffer,
+:func:`repro.symbolic.affine.window_fits` (``N - 3 <= N - 1`` holds for
+every ``N``; anything it cannot decide does not fit).  When a guest is renamed into a larger buffer,
 its whole-container memlets (``subset=None``) are first given an explicit
 full-guest-shape subset so both code generators keep reading/writing the
 guest's window of the shared buffer rather than the buffer's full extent.
@@ -50,12 +49,27 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 from repro.ir.control_flow import ConditionalRegion
 from repro.ir.subsets import Subset
 from repro.ir.usage import is_identity_elementwise_write
-from repro.passes.cost import size_env
 from repro.passes.liveness import Interval, LivenessInfo, compute_liveness
 from repro.symbolic.affine import window_fits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ir.sdfg import SDFG
+
+
+#: Stands in for a size symbol no binding fixes when footprints are counted.
+DEFAULT_SYMBOL_VALUE = 1024
+
+
+def size_env(
+    symbols: Iterable[str], symbol_values: Optional[Mapping[str, object]] = None
+) -> dict[str, object]:
+    """Values for ``symbols``: the numeric binding from ``symbol_values``
+    where there is one, :data:`DEFAULT_SYMBOL_VALUE` otherwise."""
+    env: dict[str, object] = {name: DEFAULT_SYMBOL_VALUE for name in symbols}
+    for name, value in (symbol_values or {}).items():
+        if name in env and isinstance(value, (int, float)):
+            env[name] = value
+    return env
 
 
 # ------------------------------------------------------------------- the plan
@@ -158,8 +172,8 @@ def plan_memory(
 
     ``protect`` names containers that must keep their own storage (gradient
     targets, ``extra_keep``); the return container is always protected.
-    Footprints size symbols from ``symbol_values`` through the cost model's
-    :func:`~repro.passes.cost.size_env`.  Pure analysis — apply the returned
+    Footprints size symbols from ``symbol_values`` through
+    :func:`size_env`.  Pure analysis — apply the returned
     plan with :func:`apply_memory_plan`.
     """
     protected = set(protect)

@@ -12,10 +12,9 @@ a pass context and a cache key:
   as written; ``"O2"``
   additionally merges duplicate element-wise maps (global value numbering)
   and fuses producer/consumer maps so intermediate transients are never
-  materialised; ``"O3"`` makes fusion cost-model-driven — stencil-offset
-  reads fuse when modelled recompute cost stays below saved traffic, and
-  gradient compiles decline fusions the backward pass would recompute (see
-  docs/optimization-levels.md and docs/cost-model.md).
+  materialised; ``"O3"`` is ``"O2"`` except that a gradient compile on the
+  ``numpy`` backend declines a fusion whose value the backward pass would
+  recompute (see docs/optimization-levels.md).
 * When a gradient is requested, the pipeline appends checkpointing-strategy
   selection, the reverse-mode AD stage and the terminal codegen stage.
 * Results are cached in :data:`~repro.pipeline.cache.DEFAULT_CACHE` keyed on
@@ -50,11 +49,10 @@ from repro.pipeline.stages import (
 #: The optimization levels.  ``O0`` compiles the program as written;
 #: ``O1`` is the paper's pre-AD cleanup; ``O2`` adds duplicate-work
 #: elimination — global value numbering, within and across states — and
-#: producer/consumer map fusion; ``O3`` runs the same stages but makes
-#: fusion *cost-model-driven* (stencil offsets fuse when the
-#: recompute-vs-traffic model pays, and gradient compiles decline fusions
-#: the backward pass would have to recompute — see repro/passes/cost.py and
-#: docs/cost-model.md).  See docs/optimization-levels.md.
+#: producer/consumer map fusion; ``O3`` runs the same stages, and its
+#: ``numpy`` gradient compiles decline the fusions the backward pass would
+#: have to recompute (``MapFusion(decline_recompute=True)``).  See
+#: docs/optimization-levels.md.
 OPT_LEVELS = ("O0", "O1", "O2", "O3")
 
 
@@ -66,15 +64,11 @@ def _tier_passes(optimize: str, keep: tuple, gradient: bool, backend: str) -> li
     if optimize == "O0":
         return []
     passes: list[Pass] = [ConstantBranchPruning(), DeadCodeElimination(keep)]
-    if optimize == "O2":
-        passes += [GlobalValueNumbering(keep), MapFusion(keep)]
-    elif optimize == "O3":
-        # Cost-driven fusion prices backward-pass recomputation only when
-        # this compilation will actually differentiate.
-        passes += [
-            GlobalValueNumbering(keep),
-            MapFusion(keep, cost_driven=True, gradient_aware=gradient, backend=backend),
-        ]
+    if optimize in ("O2", "O3"):
+        # A native loop recomputes a fused value in registers; a NumPy
+        # backward statement recomputes it one full-array operation at a time.
+        decline = optimize == "O3" and gradient and backend == "numpy"
+        passes += [GlobalValueNumbering(keep), MapFusion(keep, decline_recompute=decline)]
     return passes
 
 
@@ -112,9 +106,9 @@ def build_pipeline(
     simplification and before AD/codegen.  ``backend``
     selects the code generator (``None`` / ``"numpy"`` or ``"cython"`` /
     ``"native"``, resolved to its canonical name so every spelling builds
-    the same pipeline) — it configures both the
-    terminal codegen stage and, at ``"O3"``, the cost model that prices
-    fusions (native loops make recompute far cheaper; see docs/backends.md).
+    the same pipeline) — it configures the terminal codegen stage and, in an
+    ``"O3"`` gradient compile, whether fusion declines recomputed values
+    (``numpy`` only; see docs/backends.md).
     Every tier but ``"O0"`` runs liveness-driven buffer reuse after AD
     (gradient containers protected), immediately before codegen.
     """

@@ -9,7 +9,8 @@ frontend-to-binary flow is one ordered pipeline:
   duplicate-map merging (within and across states, over the global program
   order of :func:`repro.ir.usage.collect_uses`) and producer/consumer map
   fusion, run before AD so
-  both the forward and the generated backward pass benefit;
+  both the forward and the generated backward pass benefit; ``"O3"`` runs
+  the same two, with fusion's one gradient rule (``decline_recompute``);
 * :class:`MemoryPlanning` — liveness-driven buffer reuse for transients,
   run *after* AD (gradient containers protected) and just before codegen,
   at every tier but O0;
@@ -153,71 +154,35 @@ class MapFusion(Pass):
 
     Runs pre-AD: the backward pass is generated from the fused forward SDFG,
     so gradients see the same savings.  ``extra_keep`` protects containers a
-    later stage differentiates or returns.
-
-    With ``cost_driven=True`` (the ``"O3"`` tier) every candidate is priced
-    by the static cost model (:mod:`repro.passes.cost`): reads at several
-    distinct stencil offsets may fuse when the recompute-vs-traffic
-    trade-off pays, and ``gradient_aware=True`` declines fusions that would
-    force the backward pass to recompute stored values.  Decision counts
-    land in the pipeline report (``fused_stencil``, ``declined_gradient``,
-    ...).
-
-    ``backend`` (a canonical name) calibrates the pricing through
-    ``CostModelConfig.for_backend(backend)`` — native loops keep recomputed
-    values in registers, so recompute is priced far cheaper than under the
-    interpreted NumPy backend (see docs/cost-model.md).
+    later stage differentiates or returns.  ``decline_recompute`` (set by
+    ``build_pipeline`` for ``"O3"`` gradient compiles on the ``numpy``
+    backend) keeps a transient the backward pass would otherwise recompute;
+    the report counts those as ``declined_recompute``.
     """
 
     name = "map-fusion"
 
-    def __init__(
-        self,
-        extra_keep: Sequence[str] = (),
-        cost_driven: bool = False,
-        gradient_aware: bool = False,
-        backend: str = "numpy",
-    ) -> None:
+    def __init__(self, extra_keep: Sequence[str] = (), decline_recompute: bool = False) -> None:
         self.extra_keep = tuple(extra_keep)
-        self.cost_driven = cost_driven
-        self.gradient_aware = gradient_aware
-        self.backend = backend
-
-    def _config(self):
-        from repro.passes.cost import CostModelConfig
-
-        return CostModelConfig.for_backend(self.backend)
+        self.decline_recompute = decline_recompute
 
     def apply(self, sdfg: SDFG, ctx: PassContext) -> SDFG:
-        from repro.passes.cost import CostModel, summarize_decisions
         from repro.passes.fusion import fuse_elementwise_maps
 
         protect = {name for name in self.extra_keep if name in sdfg.arrays}
-        model = None
-        if self.cost_driven:
-            model = CostModel(
-                sdfg, symbol_values=ctx.symbol_values, config=self._config(),
-            )
+        declined: set[str] = set()
         fused = fuse_elementwise_maps(
-            sdfg, protect=protect, cost_model=model,
-            gradient_aware=self.gradient_aware,
+            sdfg, protect=protect, decline_recompute=self.decline_recompute,
+            declined=declined,
         )
         ctx.note("maps_fused", fused)
         ctx.note("transients_eliminated", fused)
-        if model is not None:
-            for key, value in summarize_decisions(model.decisions).items():
-                ctx.note(key, value)
+        if self.decline_recompute:
+            ctx.note("declined_recompute", len(declined))
         return sdfg
 
     def fingerprint(self) -> tuple:
-        fp: tuple = (self.name, self.extra_keep)
-        if self.cost_driven:
-            fp += (
-                "cost-driven",
-                self.gradient_aware,
-                self._config().fingerprint(),
-            )
-        return fp
+        return (self.name, self.extra_keep, self.decline_recompute)
 
 
 class CheckpointingSelection(Pass):

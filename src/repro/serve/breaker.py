@@ -98,10 +98,6 @@ class CircuitBreaker:
         """Current state: ``"closed"``, ``"open"`` or ``"half_open"``."""
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
     def reset(self) -> None:
         """Force the breaker closed and forget failure history."""
         with self._lock:

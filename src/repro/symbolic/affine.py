@@ -43,41 +43,14 @@ def is_affine_in(expr: Expr | int | float, variables: Iterable[str]) -> bool:
     return affine_coefficients(expr, variables) is not None
 
 
-def unit_shift(expr: Expr | int | float, variables: Iterable[str]):
-    """Decompose ``expr`` as ``var + c`` over exactly one of ``variables``.
-
-    Returns ``(var, c)`` with integer ``c`` when the expression is a
-    unit-coefficient shift of a single variable, or ``None`` otherwise
-    (several variables, non-unit coefficient, non-integer or symbolic
-    constant).  This is the *one* classifier for stencil-offset reads —
-    shared by the O3 fusion pass (pricing) and offset-shifted hoisting in
-    code generation (emission), so the two can never drift apart on what
-    counts as a pure shift.
-    """
-    variables = list(variables)
-    coeffs = affine_coefficients(expr, variables)
-    if coeffs is None:
-        return None
-    used = [v for v in variables if coeffs[v] != Const(0)]
-    if len(used) != 1 or coeffs[used[0]] != Const(1):
-        return None
-    constant = coeffs[""]
-    if not isinstance(constant, Const) or isinstance(constant.value, bool):
-        return None
-    if not float(constant.value).is_integer():
-        return None
-    return used[0], int(constant.value)
-
-
 def provable_constant(expr: Expr | int | float):
     """The numeric value of ``expr`` if it is *provably* constant, else ``None``.
 
     Simplification alone cannot cancel structurally-different spellings of
     the same quantity (``(N - 2 + 1 - 1) // 1`` vs ``N - 2``); decomposing
     into affine form over every free symbol and requiring all symbol
-    coefficients to fold to zero can.  Used by the O3 stencil machinery to
-    prove window bounds (``producer_stop - consumer_stop - max_offset >= 0``)
-    without concrete sizes.
+    coefficients to fold to zero can.  :func:`window_fits` proves symbolic
+    bounds with it (``host_stop - guest_stop >= 0``) without concrete sizes.
     """
     if isinstance(expr, (int, float)):
         return expr
@@ -95,20 +68,14 @@ def provable_constant(expr: Expr | int | float):
 
 
 def window_fits(limit, stop, offset: int = 0) -> bool:
-    """Prove ``stop + offset <= limit`` for symbolic bounds — the *one*
-    hoistability bounds proof of the stencil machinery.
+    """Prove ``stop + offset <= limit`` for symbolic bounds.
 
-    ``limit`` is the domain being read (a producer's range stop or an array
-    dimension), ``stop`` the consumer/union-window stop and ``offset`` the
-    constant stencil shift.  Both the O3 fusion pass (pricing a candidate as
-    hoistable, :func:`repro.passes.fusion._offset_info`) and offset-shifted
-    hoisting in code generation (:mod:`repro.codegen.stencil`) decide bounds
-    through this predicate, so what fusion prices as a single union-window
-    evaluation is exactly what codegen emits — the two can no longer run
-    drifting proofs.  Memory planning proves with it that a guest dimension
-    fits its host's (``offset=0``).  Returns ``False`` whenever the slack is
-    not provably non-negative (:func:`provable_constant`); callers must then
-    stay conservative (don't fuse / don't hoist / don't share).
+    ``limit`` is the domain being read (an array dimension), ``stop`` the
+    extent that must fit inside it and ``offset`` a constant shift.  Memory
+    planning proves with it that a guest dimension fits its host's
+    (``offset=0``).  Returns ``False`` whenever the slack is not provably
+    non-negative (:func:`provable_constant`); callers must then stay
+    conservative (don't share).
     """
     from repro.symbolic.simplify import simplify
 

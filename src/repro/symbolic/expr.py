@@ -130,27 +130,11 @@ class Expr:
     def __pos__(self) -> "Expr":
         return self
 
-    # Comparisons intentionally build Compare nodes instead of booleans; use
-    # ``same(a, b)`` or ``a == b`` on the dataclass fields for structural
-    # equality.  Structural equality is provided by the dataclasses below.
-
-    def lt(self, other: object) -> "Compare":
-        return Compare("<", self, as_expr(other))
-
-    def le(self, other: object) -> "Compare":
-        return Compare("<=", self, as_expr(other))
-
-    def gt(self, other: object) -> "Compare":
-        return Compare(">", self, as_expr(other))
-
-    def ge(self, other: object) -> "Compare":
-        return Compare(">=", self, as_expr(other))
+    # ``eq`` builds a Compare node instead of a boolean; ``a == b`` is the
+    # structural equality the dataclasses below provide.
 
     def eq(self, other: object) -> "Compare":
         return Compare("==", self, as_expr(other))
-
-    def ne(self, other: object) -> "Compare":
-        return Compare("!=", self, as_expr(other))
 
     # -- traversal ------------------------------------------------------------
     @property

@@ -91,14 +91,14 @@ def test_gradient_agrees_across_backends(name, tier):
 
 
 #: Kernels whose batched NumPy program dies inside ``np.matmul`` (a batched
-#: operand meets a per-sample vector's core dimension): ROADMAP 3(d).
+#: operand meets a per-sample vector's core dimension): ROADMAP "vmap coverage".
 VMAP_MATMUL_CRASHES = {"cholesky", "gramschmidt", "lu", "trmm"}
 
 
 def _vmap_kernel_params():
     mark = pytest.mark.xfail(
         strict=True, raises=ValueError,
-        reason="batched matmul core-dimension mismatch in NumPy (ROADMAP 3(d))",
+        reason='batched matmul core-dimension mismatch in NumPy (ROADMAP "vmap coverage")',
     )
     return [pytest.param(name, marks=mark) if name in VMAP_MATMUL_CRASHES else name
             for name in KERNEL_NAMES]

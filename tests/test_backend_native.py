@@ -3,7 +3,7 @@
 Covers the two backend names, the native ("cython") backend's correctness
 against the NumPy backend, the automatic per-program fallback, cache
 integration (distinct fingerprints per backend, persist_dir artifact
-round-trip) and the backend-aware cost-model presets.  The cross-backend
+round-trip) and the backend-aware O3 fusion rule.  The cross-backend
 differential sweep over the full kernel suite lives in
 ``tests/test_backend_differential.py``.
 """
@@ -22,9 +22,14 @@ from repro.codegen.cython_backend import (
     find_c_compiler,
 )
 from repro.ir import SDFG, LibraryCall, Memlet
-from repro.passes.cost import CostModelConfig
-from repro.pipeline import CompilationCache, CompileOptions, build_pipeline, compile_forward
-from repro.pipeline.stages import MapFusion
+from repro.npbench import get_kernel
+from repro.pipeline import (
+    CompilationCache,
+    CompileOptions,
+    PassManager,
+    build_pipeline,
+    compile_forward,
+)
 from repro.symbolic import Sym
 from repro.util.errors import CodegenError, UnsupportedFeatureError
 
@@ -287,20 +292,23 @@ class TestCacheIntegration:
         np.testing.assert_allclose(restored(x.copy()), expected, atol=1e-9)
 
 
-class TestBackendAwareCostModel:
-    def test_native_preset_is_compute_cheaper(self):
-        numpy_cfg = CostModelConfig.for_backend("numpy")
-        native_cfg = CostModelConfig.for_backend("cython")
-        assert native_cfg.bytes_per_flop < numpy_cfg.bytes_per_flop
-        assert native_cfg.assignment_passes < numpy_cfg.assignment_passes
+class TestBackendAwareFusion:
+    @staticmethod
+    def _o3_gradient_fusion(backend):
+        """Fingerprint and report of the map-fusion stage an O3 gradient
+        compile of bias_act runs on ``backend``."""
+        spec = get_kernel("bias_act")
+        manager = build_pipeline("O3", gradient=True, wrt=[spec.wrt], backend=backend)
+        fusion = next(p for p in manager.passes if p.name == "map-fusion")
+        _, report = PassManager([fusion]).run(spec.program_for("S").to_sdfg())
+        return fusion.fingerprint(), report.record_for("map-fusion").info
 
-    def test_map_fusion_fingerprint_depends_on_backend(self):
-        # Backend-calibrated pricing only engages in the cost-driven (O3)
-        # configuration, so only there must the fingerprint split.
-        assert (
-            MapFusion(cost_driven=True, backend="cython").fingerprint()
-            != MapFusion(cost_driven=True).fingerprint()
-        )
-        assert (
-            MapFusion(backend="cython").fingerprint() == MapFusion().fingerprint()
-        )
+    def test_native_o3_gradient_fuses_what_numpy_declines(self):
+        # A native loop recomputes a fused value in registers, so only the
+        # NumPy O3 gradient keeps the values its backward pass would recompute.
+        numpy_print, numpy_info = self._o3_gradient_fusion("numpy")
+        native_print, native_info = self._o3_gradient_fusion("cython")
+        assert (numpy_info["maps_fused"], numpy_info["declined_recompute"]) == (1, 2)
+        assert native_info["maps_fused"] == 3
+        assert "declined_recompute" not in native_info
+        assert numpy_print != native_print

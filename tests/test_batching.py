@@ -360,9 +360,9 @@ class TestSerializeRoundTrip:
         assert restored.arrays["x"].shape[0] == Sym(info.batch_symbol)
 
     def test_o3_fused_vmapped_sdfg_roundtrips(self):
-        sdfg = vmap(make_smooth_chain()).to_sdfg()
+        sdfg = vmap(make_bias_act(), in_axes=BIAS_ACT_AXES).to_sdfg()
         manager = PassManager(
-            [GlobalValueNumbering(), MapFusion(cost_driven=True)],
+            [GlobalValueNumbering(), MapFusion()],
             name="fuse-only",
         )
         fused, report = manager.run(sdfg)
