@@ -42,7 +42,7 @@ class BackwardPassResult:
         The storage planner: ``required`` lists every forward value a rule
         reads, in program order; ``candidates`` the ones a checkpointing
         strategy decides about (the ILP benchmarks read costs from here);
-        ``resolve(owner, data, role)`` how the backward pass reads one.
+        ``resolve(owner, data, role, read)`` how the backward pass reads one.
     """
 
     sdfg: SDFG

@@ -87,14 +87,14 @@ class BackwardRuleEmitter:
         """Memlet reading the *forward value* of an input connector, at
         ``subset`` of its container (default: the subset the node reads)."""
         original = node.inputs[connector]
-        resolution = self.storage.resolve(node, original.data, role="input")
+        resolution = self.storage.resolve(node, original.data, "input", original.subset)
         if subset is not None:
             original = Memlet(original.data, subset)
         return self.storage.read_memlet(resolution, original)
 
     def _output_value_memlet(self, node: ComputeNode, subset: Optional[Subset]) -> Memlet:
         """Memlet reading the *forward value* of the output at ``subset``."""
-        resolution = self.storage.resolve(node, node.output.data, role="output")
+        resolution = self.storage.resolve(node, node.output.data, "output", node.output.subset)
         return self.storage.read_memlet(resolution, Memlet(node.output.data, subset))
 
     def _region_params(self, prefix: str, subset: Optional[Subset],

@@ -11,10 +11,13 @@ planner chooses a resolution:
     The container is overwritten later but the consumer is not inside a loop:
     copy it into a ``__fwd_*`` container right before the consuming node.
 ``tape``
-    The consumer sits inside sequential loops: push the value onto a stack
-    tape (``__tape_*`` plus a pointer scalar) each forward iteration and pop
-    it in the reversed loop.  Pushes and pops pair up exactly because the
-    backward pass visits iterations in exact reverse order.
+    The consumer sits inside sequential loops: each forward iteration pushes
+    the read's *footprint* (the elements it touches over the consumer's map
+    domain) onto a stack tape (``__tape_*`` plus a pointer scalar), and the
+    reversed loop pops it.  Reads of one container in one state whose
+    footprints differ by provable constants share one tape shaped like their
+    bounding box.  Pushes and pops pair up exactly because the backward pass
+    visits iterations in exact reverse order.
 ``recompute``
     Do not keep the value; re-derive it in the backward pass from containers
     that are still available (re-materialisation).  Only values defined by
@@ -42,13 +45,16 @@ from repro.ir import (
     LoopRegion,
     MapCompute,
     Memlet,
+    Range,
     SDFG,
     State,
     Subset,
 )
 from repro.ir.nodes import ComputeNode
 from repro.ir.usage import ProgramUses, collect_uses
-from repro.symbolic import Call, Const, Expr, Sym, diff, substitute
+from repro.symbolic import (Call, Const, Expr, Sym, affine_coefficients, diff,
+                            provable_constant, substitute)
+from repro.symbolic.affine import cancel_affine
 from repro.symbolic.simplify import simplify
 from repro.util.errors import AutodiffError
 
@@ -98,6 +104,10 @@ class RequiredValue:
     ``owner``, a compute node (``role`` ``'input'`` / ``'output'``) or the
     conditional whose branch condition names it (``'condition'``).
 
+    ``read`` is the memlet subset as the owner reads it (``None``: the whole
+    container) and ``footprint`` the elements that read touches over the
+    owner's whole map domain (:func:`read_footprint`).
+
     ``pos`` is the read's program position in the numbering of
     :func:`repro.ir.usage.collect_uses`: the consuming node's position, one
     past it for the node's own output, and the position of the conditional's
@@ -110,6 +120,8 @@ class RequiredValue:
     data: str
     role: str  # 'input' | 'output' | 'condition'
     owner: Union[ComputeNode, ConditionalRegion]
+    read: Optional[Subset]
+    footprint: Subset
     state: Optional[State]
     region: ControlFlowRegion
     ctrl_path: tuple
@@ -143,11 +155,13 @@ class RematCandidate:
 
 @dataclass
 class Resolution:
-    """How the backward pass obtains one required value."""
+    """How the backward pass obtains one required value.  A tape records
+    ``footprint`` (the bounding box of the reads it serves) each iteration."""
 
     kind: str  # 'direct' | 'snapshot' | 'tape' | 'recompute'
     container: str
     ptr: Optional[str] = None
+    footprint: Optional[Subset] = None
     recompute_chain: list[ComputeNode] = field(default_factory=list)
     recompute_rename: dict[str, str] = field(default_factory=dict)
 
@@ -173,6 +187,68 @@ def conservative_capacity(loops: tuple[LoopRegion, ...]) -> Expr:
     return simplify(total)
 
 
+def read_footprint(owner, memlet: Memlet, shape) -> Subset:
+    """The elements ``memlet`` touches over ``owner``'s whole map domain.
+
+    An index that is a map parameter plus an offset becomes that parameter's
+    range, shifted; an index free of map parameters stays an index; any
+    other index covers its whole dimension.  A library call's (or a branch
+    condition's) memlet is its own footprint.  Every range of a footprint is
+    unit-step: a strided slice covers its whole dimension."""
+    whole = Subset.full(shape)
+    if memlet.subset is None:
+        return whole
+    domain = dict(zip(owner.params, owner.ranges)) if isinstance(owner, MapCompute) else {}
+    return Subset(_dim_footprint(dim, full, domain) for dim, full in zip(memlet.subset, whole))
+
+
+def _dim_footprint(dim, full: Range, domain: dict[str, Range]):
+    if not dim.free_symbols() & domain.keys():
+        return dim if isinstance(dim, Index) or simplify(dim.step) == Const(1) else full
+    if isinstance(dim, Index):
+        coeffs = affine_coefficients(dim.value, list(domain))
+        moving = [] if coeffs is None else [p for p in domain if coeffs[p] != Const(0)]
+        if len(moving) == 1 and coeffs[moving[0]] == Const(1):
+            rng = domain[moving[0]]
+            if simplify(rng.step) == Const(1) and not rng.free_symbols() & domain.keys():
+                offset = coeffs[""]
+                return Range(simplify(rng.start + offset), simplify(rng.stop + offset))
+    return full
+
+
+def merge_footprints(a: Subset, b: Subset) -> Optional[Subset]:
+    """The bounding box of two footprints of one container, or ``None``
+    unless every bound of one differs from the other's by a provable
+    constant (:func:`~repro.symbolic.affine.provable_constant`)."""
+    dims = []
+    for x, y in zip(a, b):
+        if x == y:
+            dims.append(x)
+            continue
+        (lo_x, hi_x), (lo_y, hi_y) = _bounds(x), _bounds(y)
+        lo, hi = provable_constant(lo_x - lo_y), provable_constant(hi_x - hi_y)
+        if lo is None or hi is None:
+            return None
+        dims.append(Range(lo_y if lo > 0 else lo_x, hi_x if hi > 0 else hi_y))
+    return Subset(dims)
+
+
+def _bounds(dim) -> tuple[Expr, Expr]:
+    """First and one-past-last element of a footprint dimension."""
+    if isinstance(dim, Index):
+        return dim.value, simplify(dim.value + Const(1))
+    return dim.start, dim.stop
+
+
+def _shift(dim, start: Expr):
+    """``dim`` in coordinates that begin at ``start``."""
+    if start == Const(0):
+        return dim
+    if isinstance(dim, Index):
+        return Index(cancel_affine(dim.value - start))
+    return Range(cancel_affine(dim.start - start), cancel_affine(dim.stop - start), dim.step)
+
+
 class StoragePlanner:
     """Plans and inserts forward-value storage, and hands the backward pass
     everything that brings a value back: the memlet a rule reads it through
@@ -187,10 +263,11 @@ class StoragePlanner:
         self.strategy = strategy
         self.required: list[RequiredValue] = []
         self.candidates: dict[str, RematCandidate] = {}
-        # (id(owner), data, role) -> Resolution: every read a rule may make
-        self._resolutions: dict[tuple[int, str, str], Resolution] = {}
-        # (id(state-or-conditional), data) -> Resolution: one save per owner
-        self._save_cache: dict[tuple[int, str], Resolution] = {}
+        # (id(owner), data, role, read) -> Resolution: every read a rule may make
+        self._resolutions: dict[tuple, Resolution] = {}
+        # (id(state-or-conditional), data, footprint) -> Resolution: one save
+        # per owner and tape footprint (``None`` for a snapshot)
+        self._save_cache: dict[tuple, Resolution] = {}
         # state id -> the tapes it pushes and the values it recomputes, in
         # plan order: what its reversed state runs before the rules
         self._prologues: dict[int, list[Resolution]] = {}
@@ -203,10 +280,12 @@ class StoragePlanner:
         self._discover(uses)
         self._build_candidates(uses)
         recomputed = self._recomputed()
+        boxes = self._tape_footprints()
         for req in self.required:
             resolution = (self._materialize_recompute(req) if req.key in recomputed
-                          else self._materialize(req))
-            self._resolutions.setdefault((id(req.owner), req.data, req.role), resolution)
+                          else self._materialize(req, boxes.get(req.key)))
+            self._resolutions.setdefault((id(req.owner), req.data, req.role, req.read),
+                                         resolution)
 
     # -- discovery ---------------------------------------------------------------
     def _discover(self, uses: ProgramUses) -> None:
@@ -221,7 +300,7 @@ class StoragePlanner:
                 if id(element) not in self.activity.active_conditionals:
                     continue
                 for sym in self._condition_containers(element):
-                    self._add_required(uses, sym, "condition", element, None,
+                    self._add_required(uses, Memlet(sym), "condition", element, None,
                                        region, path, pos)
             elif isinstance(element, State):
                 for node in element.nodes:
@@ -229,20 +308,23 @@ class StoragePlanner:
                         needed_inputs, needs_output = needed_value_connectors(
                             node, self.activity.carries_gradient)
                         for conn in sorted(needed_inputs):
-                            self._add_required(uses, node.inputs[conn].data, "input", node,
+                            self._add_required(uses, node.inputs[conn], "input", node,
                                                element, region, path, pos)
                         if needs_output:
-                            self._add_required(uses, node.output.data, "output", node,
+                            self._add_required(uses, node.output, "output", node,
                                                element, region, path, pos + 1)
                     pos += 1
 
-    def _add_required(self, uses: ProgramUses, data: str, role: str, owner, state,
+    def _add_required(self, uses: ProgramUses, memlet: Memlet, role: str, owner, state,
                       region, path, pos) -> None:
-        """Append a required value.  It is *overwritten after* its read when
-        the container is written at or after ``pos`` (a node's own write
-        overwrites its inputs; branches count in program order, as liveness
-        lays them out) or anywhere in a loop enclosing the read (the next
-        iteration's write precedes this iteration's backward read)."""
+        """Append the value ``owner`` reads through ``memlet``.  It is
+        *overwritten after* its read when the container is written at or
+        after ``pos`` (a node's own write overwrites its inputs; branches
+        count in program order, as liveness lays them out) or anywhere in a
+        loop enclosing the read (the next iteration's write precedes this
+        iteration's backward read)."""
+        data = memlet.data
+        desc = self.sdfg.arrays[data]
         self._counter += 1
         loops = [e for e in path if isinstance(e, LoopRegion)]
         overwritten = any(
@@ -255,12 +337,14 @@ class StoragePlanner:
             data=data,
             role=role,
             owner=owner,
+            read=memlet.subset,
+            footprint=read_footprint(owner, memlet, desc.shape_exprs()),
             state=state,
             region=region,
             ctrl_path=path,
             pos=pos,
             overwritten_after=overwritten,
-            transient=self.sdfg.arrays[data].transient,
+            transient=desc.transient,
         ))
 
     # -- candidates and decisions -----------------------------------------------------
@@ -318,16 +402,41 @@ class StoragePlanner:
                 if decisions.get(key) == "recompute" and candidate.recompute_eligible}
 
     # -- materialisation --------------------------------------------------------------
-    def _materialize(self, req: RequiredValue) -> Resolution:
-        """Resolve a stored value; every consumer of ``req.data`` in one
-        state (or one conditional's conditions) shares one save."""
+    def _tape_footprints(self) -> dict[str, Subset]:
+        """The footprint the tape of each taped read records, by key.
+        Within one state (or one conditional's conditions), reads of one
+        container whose footprints differ by provable constants share one
+        tape: their bounding box (:func:`merge_footprints`)."""
+        groups: dict[tuple[int, str], list[list[Subset]]] = {}
+        cells: dict[str, list[Subset]] = {}
+        for req in self.required:
+            if not (req.overwritten_after and req.enclosing_loops):
+                continue
+            boxes = groups.setdefault(
+                (id(req.owner if req.state is None else req.state), req.data), [])
+            for cell in boxes:
+                merged = merge_footprints(cell[0], req.footprint)
+                if merged is not None:
+                    cell[0] = merged
+                    break
+            else:
+                cell = [req.footprint]
+                boxes.append(cell)
+            cells[req.key] = cell
+        return {key: cell[0] for key, cell in cells.items()}
+
+    def _materialize(self, req: RequiredValue, footprint: Optional[Subset]) -> Resolution:
+        """Resolve a stored value.  Inside loops it is taped with the given
+        ``footprint``; every read of ``req.data`` in one state (or one
+        conditional's conditions) that shares the footprint, or that needs
+        a snapshot, shares one save."""
         if not req.overwritten_after:
             return Resolution(kind="direct", container=req.data)
-        cache_key = (id(req.owner if req.state is None else req.state), req.data)
+        cache_key = (id(req.owner if req.state is None else req.state), req.data, footprint)
         resolution = self._save_cache.get(cache_key)
         if resolution is None:
-            if req.enclosing_loops:
-                resolution = self._materialize_tape(req)
+            if footprint is not None:
+                resolution = self._materialize_tape(req, footprint)
             else:
                 resolution = self._materialize_snapshot(req)
             self._save_cache[cache_key] = resolution
@@ -362,22 +471,34 @@ class StoragePlanner:
         self._insert_save(req, [copy_node])
         return Resolution(kind="snapshot", container=snap.name)
 
-    def _materialize_tape(self, req: RequiredValue) -> Resolution:
-        """A stack of whole-container copies, ``tape[ptr, ...] = data`` then
-        ``ptr += 1``; :meth:`read_memlet` is the one reader of this layout."""
+    def _materialize_tape(self, req: RequiredValue, footprint: Subset) -> Resolution:
+        """A stack of footprints: each iteration copies the elements
+        ``footprint`` covers, ``tape[ptr, ...] = data[footprint]``, then
+        ``ptr += 1``.  An index dimension of the footprint has no tape axis.
+        A range keeps its length when that is a provable constant or free
+        of loop iterators; otherwise the container's dimension bounds it.
+        :meth:`read_memlet` is the one reader of this layout, and the push
+        writes through it too."""
         desc = self.sdfg.arrays[req.data]
+        ranges, extents = [], []
+        for dim, size in zip(footprint, desc.shape):
+            if isinstance(dim, Range):
+                # The push map runs over each kept dimension from 0, as every map does.
+                ranges.append(_shift(dim, dim.start))
+                extents.append(self._tape_extent(ranges[-1].stop, size))
         capacity = conservative_capacity(req.enclosing_loops)
-        tape = self.sdfg.add_transient(
-            f"__tape_{req.data}", (capacity,) + tuple(desc.shape), desc.dtype
-        )
+        tape = self.sdfg.add_transient(f"__tape_{req.data}", (capacity, *extents), desc.dtype)
         ptr = self.sdfg.add_transient(f"{tape.name}_ptr", (), np.int64, zero_init=True)
-        resolution = Resolution(kind="tape", container=tape.name, ptr=ptr.name)
+        resolution = Resolution(kind="tape", container=tape.name, ptr=ptr.name,
+                                footprint=footprint)
 
-        params = [f"__s{i}" for i in range(desc.ndim)]
-        element = Subset.point(Sym(p) for p in params)
+        params = [f"__s{i}" for i in range(len(ranges))]
+        names = iter(params)
+        element = Subset(Index(cancel_affine(dim.start + Sym(next(names))))
+                         if isinstance(dim, Range) else dim for dim in footprint)
         save_node = MapCompute(
             params=params,
-            ranges=list(Subset.full(desc.shape_exprs()).dims),
+            ranges=ranges,
             expr=Sym("__val"),
             inputs={"__val": Memlet(req.data, element)},
             output=self.read_memlet(resolution, Memlet(req.data, element)),
@@ -393,6 +514,18 @@ class StoragePlanner:
         if req.state is not None:
             self._prologues.setdefault(id(req.state), []).append(resolution)
         return resolution
+
+    def _tape_extent(self, length: Expr, size):
+        """Tape axis length for a footprint range of ``length`` elements of
+        a ``size`` dimension; a symbolic length is clamped at 0, as
+        :func:`conservative_capacity` clamps trip counts (``A[1:-1]`` at
+        ``N == 1``)."""
+        constant = provable_constant(length)
+        if constant is not None:
+            return max(int(constant), 0)
+        if length == size or not length.free_symbols() <= set(self.sdfg.symbols):
+            return size
+        return Call("maximum", (length, Const(0)))
 
     def _insert_save(self, req: RequiredValue, nodes: list[ComputeNode]) -> None:
         """Insert save nodes right before the consuming node (or, for
@@ -411,11 +544,13 @@ class StoragePlanner:
 
     # ------------------------------------------------------------------ queries --
     def resolve(self, owner: Union[ComputeNode, ConditionalRegion], data: str,
-                role: str = "input") -> Resolution:
-        """Resolution for ``data`` as read by ``owner`` (a compute node, or a
-        conditional for ``role='condition'``).  A read the planner did not
-        plan raises: the live container may have been overwritten since."""
-        resolution = self._resolutions.get((id(owner), data, role))
+                role: str = "input", read: Optional[Subset] = None) -> Resolution:
+        """Resolution for ``data`` as ``owner`` reads it through the subset
+        ``read`` (a compute node's memlet subset; a conditional, for
+        ``role='condition'``, reads the whole container).  A read the
+        planner did not plan raises: the live container may have been
+        overwritten since."""
+        resolution = self._resolutions.get((id(owner), data, role, read))
         if resolution is None:
             raise AutodiffError(
                 f"No forward value of {data!r} ({role}) was planned for {owner!r}; "
@@ -426,16 +561,26 @@ class StoragePlanner:
     def read_memlet(self, resolution: Resolution, original: Memlet) -> Memlet:
         """The memlet reading ``original``'s elements of a required value:
         the same subset of a direct, snapshot or recompute container, or
-        that subset of the tape's top entry."""
+        that subset of the tape's top entry, relative to the tape's
+        footprint (its index dimensions dropped, every kept dimension
+        shifted by the footprint's start)."""
         if resolution.kind != "tape":
             return Memlet(resolution.container, original.subset)
+        subset = original.subset
+        if subset is None:
+            subset = Subset.full(self.sdfg.arrays[original.data].shape)
         dims = [Index(Sym(resolution.ptr))]
-        if original.subset is not None:
-            dims.extend(original.subset.dims)
-        else:
-            desc = self.sdfg.arrays[original.data]
-            dims.extend(Subset.full(desc.shape).dims)
+        for dim, box in zip(subset, resolution.footprint):
+            if isinstance(box, Range):
+                dims.append(_shift(dim, box.start))
         return Memlet(resolution.container, Subset(dims))
+
+    def saved_counts(self) -> dict[str, int]:
+        """How many planned reads each resolution kind serves."""
+        counts = dict.fromkeys(("direct", "snapshot", "tape", "recompute"), 0)
+        for resolution in self._resolutions.values():
+            counts[resolution.kind] += 1
+        return counts
 
     def state_prologue(self, state: State) -> list[ComputeNode]:
         """Nodes the reversed ``state`` runs before its rules: one pop per

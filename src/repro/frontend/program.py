@@ -69,7 +69,13 @@ class Program:
 
     # -- compilation pipeline ------------------------------------------------
     def to_sdfg(self) -> SDFG:
-        """Parse (once) and return the forward SDFG."""
+        """Parse (once) and return the forward SDFG.
+
+        The SDFG is memoised and shared: every later ``to_sdfg()`` and every
+        compile of this program starts from this same object.  The compile
+        path transforms a copy (``PassManager.run``), but a raw pass that
+        rewrites its argument in place (fusion, GVN, ``apply_memory_plan``)
+        must be given ``to_sdfg().copy()``."""
         if self._sdfg is None:
             self._sdfg = parse_function(self.func, self.name)
         return self._sdfg

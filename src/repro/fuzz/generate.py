@@ -695,6 +695,26 @@ def hard_templates() -> list[FuzzProgram]:
         data_seed=110,
     ))
 
+    # 11. Row stencil inside a sequential loop: rows i - 1, i and i + 1 are
+    #     read non-linearly and row i is overwritten, so the backward pass
+    #     reads all three off one loop tape shaped like their bounding box.
+    def row(term: str) -> SliceRead:
+        return SliceRead("a", (IndexItem(term), SliceItem()))
+
+    programs.append(_template(
+        "seed_row_stencil_tape", "float64",
+        [ArgSpec("a", (N, M))], {"N": 7, "M": 5},
+        [
+            SFor("i", 1, "N - 1", [SSliceWrite(
+                "a", (IndexItem("i"), SliceItem()),
+                Bin("+",
+                    Bin("*", Bin("*", row("i - 1"), row("i + 1")), Lit(0.5)),
+                    Un("sin", row("i"))))]),
+            SReturn(Reduce("sum", Ref("a"))),
+        ],
+        data_seed=111,
+    ))
+
     return programs
 
 

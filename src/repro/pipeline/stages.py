@@ -234,6 +234,7 @@ class Autodiff(Pass):
         ctx.note("gradients", sorted(result.gradient_names.values()))
         ctx.note("ccs_nodes", len(result.activity.active_nodes))
         ctx.note("wrt_pruned_nodes", len(result.activity.pruned_nodes))
+        ctx.note("saved", result.storage.saved_counts())
         return result.sdfg
 
     def fingerprint(self) -> tuple:

@@ -67,6 +67,35 @@ def provable_constant(expr: Expr | int | float):
     return constant.value
 
 
+def cancel_affine(expr: Expr) -> Expr:
+    """``expr`` rebuilt from its affine form over its free symbols, so that
+    terms cancel (``i + 1 - (i - 1)`` is ``2``, ``i - 1 + s - (i - 1)`` is
+    ``s``).  An expression that is not affine with integer coefficients is
+    only simplified."""
+    from repro.symbolic.simplify import simplify
+
+    symbols = sorted(expr.free_symbols())
+    coeffs = affine_coefficients(expr, symbols)
+    if coeffs is None or not all(_is_integer(coeff) for coeff in coeffs.values()):
+        return simplify(expr)
+    result: Optional[Expr] = None
+    for name in symbols:
+        count = int(coeffs[name].value)
+        if count == 0:
+            continue
+        term = Sym(name) if abs(count) == 1 else Const(abs(count)) * Sym(name)
+        if result is None:
+            result = term if count > 0 else -term
+        else:
+            result = result + term if count > 0 else result - term
+    constant = int(coeffs[""].value)
+    if result is None:
+        return Const(constant)
+    if constant:
+        result = result + Const(constant) if constant > 0 else result - Const(-constant)
+    return result
+
+
 def window_fits(limit, stop, offset: int = 0) -> bool:
     """Prove ``stop + offset <= limit`` for symbolic bounds.
 

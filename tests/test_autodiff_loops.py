@@ -8,10 +8,13 @@ import repro
 from repro.autodiff import LoopClass, classify_program_loops
 from repro.baselines.numerical import finite_difference_gradient
 from repro.ir import ConditionalRegion, LoopRegion, MapCompute, Memlet, SDFG, State, Subset
-from repro.symbolic import Sym, parse_expr
+from repro.npbench import all_kernels
+from repro.pipeline import compile_gradient
+from repro.symbolic import Sym, evaluate, parse_expr
 from tests.dump_codegen import PROBES
 
 N = repro.symbol("N")
+M = repro.symbol("M")
 T = repro.symbol("T")
 
 
@@ -301,3 +304,128 @@ class TestTapeMechanics:
         df = repro.grad(sdfg, wrt="x", optimize=optimize)
         np.testing.assert_allclose(df(x.copy()), expected, rtol=1e-6, atol=1e-8)
 
+
+
+def tapes(sdfg, symbol_values):
+    """``{tape: shape}`` of every loop tape, evaluated at ``symbol_values``."""
+    return {name: tuple(int(evaluate(dim, symbol_values)) for dim in desc.shape_exprs())
+            for name, desc in sdfg.arrays.items()
+            if name.startswith("__tape_") and not name.endswith("_ptr")}
+
+
+@repro.program
+def triangular_rows(A: repro.float64[N, N]):
+    for i in range(N):
+        for j in range(i):
+            A[i, j] = 0.5 * (A[i, j] - A[i, :j] @ A[j, :j])
+    return np.sum(A)
+
+
+@repro.program
+def row_stencil(A: repro.float64[N, M], steps: repro.int64):
+    for t in range(steps):
+        for i in range(1, N - 1):
+            A[i, :] = 0.5 * A[i - 1, :] * A[i + 1, :] + np.sin(A[i, :])
+    return np.sum(A)
+
+
+@repro.program
+def single_element(A: repro.float64[N]):
+    for i in range(1, N):
+        A[i] = A[i] * A[i] * 0.5 + A[i - 1]
+    return np.sum(A)
+
+
+@repro.program
+def interior_slice(A: repro.float64[N], steps: repro.int64):
+    for t in range(steps):
+        A[1:-1] = np.sin(A[1:-1]) * A[1:-1]
+    return np.sum(A)
+
+
+class TestTapeFootprints:
+    """A loop tape records the footprint its reads touch, not the whole
+    container: index dimensions have no tape axis, and reads whose
+    footprints differ by constants share one tape."""
+
+    CASES = {
+        # A[i, :j] and A[j, :j] differ by i - j: two tapes, each bounded by N.
+        "triangular_rows": (triangular_rows, (rand(6, 6),), {}, [(6,), (6,)]),
+        # Rows i - 1, i and i + 1 merge into one three-row tape.
+        "row_stencil": (row_stencil, (rand(6, 5),), {"steps": 2}, [(3, 5)]),
+        # One element per iteration.
+        "single_element": (single_element, (rand(7),), {}, [()]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_tape_holds_only_the_footprint(self, name):
+        program, args, kwargs, per_iteration = self.CASES[name]
+        values = {"N": args[0].shape[0], "M": args[0].shape[-1], **kwargs}
+        sdfg = repro.add_backward_pass(program.to_sdfg()).sdfg
+        assert sorted(shape[1:] for shape in tapes(sdfg, values).values()) == per_iteration
+
+    @pytest.mark.parametrize("optimize, backend", BUILDS)
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_gradient_matches_finite_differences(self, name, optimize, backend):
+        program, args, kwargs, _ = self.CASES[name]
+        forward = repro.compile(program, optimize="O0")
+        expected = finite_difference_gradient(
+            lambda *a: forward(*[x.copy() for x in a], **kwargs), args, wrt=0, eps=1e-6)
+        df = repro.grad(program, wrt="A", optimize=optimize, backend=backend)
+        assert df.report.backend == backend
+        actual = df(*[x.copy() for x in args], **kwargs)
+        np.testing.assert_allclose(actual, expected, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("backend", ["numpy", "cython"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_symbolic_tape_axis_is_clamped_at_zero(self, n, backend):
+        """``A[1:-1]`` records ``N - 2`` elements an iteration, which at
+        ``N == 1`` would be a negative tape dimension."""
+        sdfg = repro.add_backward_pass(interior_slice.to_sdfg()).sdfg
+        assert [shape[1:] for shape in tapes(sdfg, {"N": n, "steps": 2}).values()] == [
+            (max(n - 2, 0),)]
+        forward = repro.compile(interior_slice, optimize="O0")
+        args = (rand(n),)
+        expected = finite_difference_gradient(
+            lambda a: forward(a.copy(), steps=2), args, wrt=0, eps=1e-6)
+        df = repro.grad(interior_slice, wrt="A", optimize="O1", backend=backend)
+        np.testing.assert_allclose(df(args[0].copy(), steps=2), expected,
+                                   rtol=1e-4, atol=1e-6)
+
+
+class TestTapeTable:
+    """The loop tapes of the O1 gradients of all 33 kernels at preset
+    ``"paper"``, summed at the preset's symbol values (compiled, not run)."""
+
+    BOUNDS_MIB = {"cholesky": 3.5, "lu": 7.0, "gramschmidt": 3.6, "vadv": 2.0,
+                  "adi": 2.0, "durbin": 0.2}
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        kernels = all_kernels()
+        assert len(kernels) == 33
+        table = {}
+        for name, spec in kernels.items():
+            outcome = compile_gradient(spec.program_for("paper"), wrt=[spec.wrt],
+                                       optimize="O1", cache=False)
+            sdfg = outcome.compiled.sdfg
+            shapes = tapes(sdfg, spec.sizes["paper"])
+            if shapes:
+                table[name] = (len(shapes), sum(
+                    np.prod(shape) * sdfg.arrays[tape].dtype.itemsize
+                    for tape, shape in shapes.items()) / 2**20)
+        return table
+
+    def test_only_the_loop_kernels_tape(self, table):
+        assert set(table) == set(self.BOUNDS_MIB)
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS_MIB))
+    def test_kernel_tape_bound(self, table, name):
+        assert table[name][1] <= self.BOUNDS_MIB[name]
+
+    def test_total_tape_bound(self, table):
+        assert sum(mib for _, mib in table.values()) <= 16.5
+
+    def test_adi_rows_share_their_tapes(self, table):
+        """Without merging footprints that differ by constants adi has 6."""
+        assert table["adi"][0] == 2

@@ -143,9 +143,9 @@ class TestPrunedWork:
         asked = []
         resolve = StoragePlanner.resolve
 
-        def spy(self, owner, data, role="input"):
+        def spy(self, owner, data, role="input", read=None):
             asked.append((owner, data))
-            return resolve(self, owner, data, role)
+            return resolve(self, owner, data, role, read)
 
         monkeypatch.setattr(StoragePlanner, "resolve", spy)
         repro.grad(get_kernel("gemm").program_for("S"), wrt="A", cache=False)

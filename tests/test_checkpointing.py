@@ -25,6 +25,7 @@ from repro.checkpointing import (
 )
 from repro.checkpointing.memseq import peak_memory
 from repro.harness import peak_bytes
+from repro.npbench import get_kernel
 from repro.pipeline import compile_gradient
 from repro.util.errors import AutodiffError, CheckpointingError
 
@@ -203,6 +204,21 @@ class TestGradientCorrectnessUnderStrategies:
         # Recompute-all introduces __rc_* containers for the re-derived chains.
         assert any(name.startswith("__rc_") for name in result_recompute.sdfg.arrays)
         assert not any(name.startswith("__rc_") for name in result_store.sdfg.arrays)
+
+
+class TestSavedReport:
+    """The autodiff pass record says how each planned read is served."""
+
+    def test_listing1_under_recompute_all(self):
+        df = repro.grad(listing1, wrt=["C", "D"], strategy=RecomputeAll(), cache=False)
+        saved = df.report.record_for("autodiff").info["saved"]
+        assert saved == {"direct": 0, "snapshot": 0, "tape": 0, "recompute": 3}
+        assert "'recompute': 3" in df.report.pretty()
+
+    def test_cholesky_tapes_every_read(self):
+        df = repro.grad(get_kernel("cholesky").program_for("S"), wrt="A", cache=False)
+        saved = df.report.record_for("autodiff").info["saved"]
+        assert saved == {"direct": 0, "snapshot": 0, "tape": 6, "recompute": 0}
 
 
 # ---------------------------------------------------------------------------

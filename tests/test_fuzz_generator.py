@@ -106,7 +106,8 @@ class TestCoverage:
         for expected in ("seed_hdiff_partial_window", "seed_smooth_chain",
                          "seed_branch_between_producer_consumer",
                          "seed_data_branch", "seed_shared_operand_chain",
-                         "seed_gauss_seidel", "seed_matmul_relu_softmax"):
+                         "seed_gauss_seidel", "seed_matmul_relu_softmax",
+                         "seed_row_stencil_tape"):
             assert expected in names
 
     def test_templates_run_before_random_programs(self):

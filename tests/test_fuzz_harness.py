@@ -57,6 +57,14 @@ class TestOutcomes:
         assert vmapped.error_type == "UnsupportedFeatureError"
         assert "batched data" in vmapped.reason
 
+    def test_row_stencil_gradient_reads_its_own_iteration(self):
+        """Rows i - 1, i and i + 1 share one loop tape; reading another
+        iteration's entry, or another row of it, disagrees with the oracle."""
+        spec = CaseSpec.from_program(_template("seed_row_stencil_tape"))
+        configs = [Config(level, "grad", backend)
+                   for level in ("O0", "O1", "O3") for backend in ("numpy", "cython")]
+        assert [o.status for o in run_case(spec, configs)] == ["ok"] * len(configs)
+
     def test_skip_outcomes_always_carry_a_reason(self):
         spec = CaseSpec.from_program(_template("seed_data_branch"))
         for outcome in run_case(spec):

@@ -232,7 +232,7 @@ class TestMemoryPlanning:
 
     def test_apply_rewrites_and_drops_guests(self):
         spec = get_kernel("smooth_chain")
-        sdfg = spec.program_for("S").to_sdfg()
+        sdfg = spec.program_for("S").to_sdfg().copy()
         before = _transient_bytes(sdfg, {"N": 32})
         plan = plan_memory(sdfg, symbol_values={"N": 32})
         applied = apply_memory_plan(sdfg, plan)
@@ -331,7 +331,7 @@ class TestGlobalValueNumbering:
             b = x * y + 1.0
             return np.sum(a + b)
 
-        sdfg = dup.to_sdfg()
+        sdfg = dup.to_sdfg().copy()
         result = global_value_numbering(sdfg)
         assert result.nodes_merged == 1
         assert ("b", "a") in result.merged
@@ -352,7 +352,7 @@ class TestGlobalValueNumbering:
             b = x * 2.0
             return s1 + np.sum(b)
 
-        sdfg = clobber.to_sdfg()
+        sdfg = clobber.to_sdfg().copy()
         result = global_value_numbering(sdfg)
         assert not any("b" in pair for pair in result.merged)
         assert "b" in sdfg.arrays
@@ -377,7 +377,7 @@ class TestGlobalValueNumbering:
                 s = s + np.sum(b * 3.0)
             return s
 
-        sdfg = branchy.to_sdfg()
+        sdfg = branchy.to_sdfg().copy()
         result = global_value_numbering(sdfg)
         assert result.nodes_merged == 0
 
@@ -432,7 +432,7 @@ def _two_bounded_loops() -> SDFG:
 #: (SDFG factory, the opaque pair — two identical definitions GVN and
 #: planning would otherwise merge or share, call arguments).
 OPAQUE_CASES = {
-    "branch_condition": (_twice_guarded.to_sdfg, ("__cond", "__cond_0"),
+    "branch_condition": (lambda: _twice_guarded.to_sdfg().copy(), ("__cond", "__cond_0"),
                          lambda: (np.linspace(0.5, 1.5, 8),)),
     "loop_bound": (_two_bounded_loops, ("n1", "n2"),
                    lambda: (np.linspace(0.5, 1.5, 8),)),

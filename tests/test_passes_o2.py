@@ -43,7 +43,7 @@ class TestMapFusion:
             w = v - x
             return np.sum(w)
 
-        sdfg = chain.to_sdfg()
+        sdfg = chain.to_sdfg().copy()
         fused = fuse_elementwise_maps(sdfg)
         assert fused == 2
         assert "u" not in sdfg.arrays and "v" not in sdfg.arrays
@@ -75,7 +75,7 @@ class TestMapFusion:
             outb[:] = u - 1.0
             return np.sum(outa * outb)
 
-        sdfg = two_uses.to_sdfg()
+        sdfg = two_uses.to_sdfg().copy()
         fuse_elementwise_maps(sdfg)
         # ``u`` feeds two consumers that stay separate (they write different
         # program outputs): it must stay materialised.
@@ -92,7 +92,7 @@ class TestMapFusion:
             b = u - 1.0
             return np.sum(a * b)
 
-        sdfg = diamond.to_sdfg()
+        sdfg = diamond.to_sdfg().copy()
         assert fuse_elementwise_maps(sdfg) == 3
         for name in ("u", "a", "b"):
             assert name not in sdfg.arrays
@@ -110,7 +110,7 @@ class TestMapFusion:
             out[1:-1] = u[2:] - u[:-2]
             return np.sum(out)
 
-        sdfg = stencil.to_sdfg()
+        sdfg = stencil.to_sdfg().copy()
         assert fuse_elementwise_maps(sdfg) == 0
         assert "u" in sdfg.arrays
 
@@ -121,7 +121,7 @@ class TestMapFusion:
             d = u * u
             return np.sum(d)
 
-        sdfg = square.to_sdfg()
+        sdfg = square.to_sdfg().copy()
         assert fuse_elementwise_maps(sdfg) == 1
         assert "u" not in sdfg.arrays
 
@@ -133,7 +133,7 @@ class TestMapFusion:
             x[:] = u + x
             return np.sum(x)
 
-        sdfg = inplace.to_sdfg()
+        sdfg = inplace.to_sdfg().copy()
         assert fuse_elementwise_maps(sdfg) == 0
 
     def test_fusion_inside_loop_region(self):
@@ -146,7 +146,7 @@ class TestMapFusion:
                 acc += c
             return np.sum(acc)
 
-        sdfg = looped.to_sdfg()
+        sdfg = looped.to_sdfg().copy()
         fused = fuse_elementwise_maps(sdfg)
         assert fused >= 1
         assert "g" not in sdfg.arrays
@@ -164,7 +164,7 @@ class TestMapFusion:
             s = t + 1.0
             return np.sum(s)
 
-        sdfg = f.to_sdfg()
+        sdfg = f.to_sdfg().copy()
         assert fuse_elementwise_maps(sdfg, protect={"t"}) == 0
         assert "t" in sdfg.arrays
 
@@ -206,7 +206,7 @@ class TestCommonSubexpressionElimination:
         def twice(x: repro.float64[N]):
             return np.sum(x * x) + np.sum(x * x)
 
-        sdfg = twice.to_sdfg()
+        sdfg = twice.to_sdfg().copy()
         before = len(_map_nodes(sdfg))
         removed = global_value_numbering(sdfg).nodes_merged
         assert removed >= 1
@@ -221,7 +221,7 @@ class TestCommonSubexpressionElimination:
         def square(x: repro.float64[N]):
             return np.sum(x * x)
 
-        sdfg = square.to_sdfg()
+        sdfg = square.to_sdfg().copy()
         node = next(n for n in _map_nodes(sdfg) if len(n.inputs) == 2)
         merged = dedupe_connectors(node)
         assert merged == 1
@@ -251,7 +251,7 @@ class TestCommonSubexpressionElimination:
             b = x * 2.0
             return np.sum(a + b)
 
-        sdfg = f.to_sdfg()
+        sdfg = f.to_sdfg().copy()
         assert global_value_numbering(sdfg).nodes_merged == 0
         x = np.linspace(0.0, 1.0, 9)
         o0 = compile_forward(f, "O0", cache=False).compiled(x.copy())

@@ -50,7 +50,7 @@ class TestMultiOffsetReads:
             v = u[2:] - u[:-2]
             return np.sum(v)
 
-        sdfg = stencil.to_sdfg()
+        sdfg = stencil.to_sdfg().copy()
         assert fuse_elementwise_maps(sdfg) == 0
         assert fuse_elementwise_maps(sdfg, decline_recompute=True) == 0
         assert "u" in sdfg.arrays
@@ -147,7 +147,7 @@ class TestGradientAwareFusion:
             v = u + y
             return np.sum(v)
 
-        sdfg = linear.to_sdfg()
+        sdfg = linear.to_sdfg().copy()
         declined: set = set()
         fused = fuse_elementwise_maps(sdfg, decline_recompute=True, declined=declined)
         assert fused >= 1 and "u" not in sdfg.arrays
@@ -190,7 +190,7 @@ class TestCrossStateFusionGuards:
             v = u + 1.0
             return np.sum(v)
 
-        sdfg = chain.to_sdfg()
+        sdfg = chain.to_sdfg().copy()
         producer_states = [s.label for s in sdfg.all_states()]
         assert len(producer_states) >= 3  # one state per statement
         assert fuse_elementwise_maps(sdfg) == 1
@@ -206,7 +206,7 @@ class TestCrossStateFusionGuards:
             v = u * 3.0
             return np.sum(v)
 
-        sdfg = loop_between.to_sdfg()
+        sdfg = loop_between.to_sdfg().copy()
         fuse_elementwise_maps(sdfg)
         assert "u" in sdfg.arrays  # loop body could run between P and C
 
@@ -219,7 +219,7 @@ class TestCrossStateFusionGuards:
                 v = u * 3.0
             return np.sum(v)
 
-        sdfg = cond_consumer.to_sdfg()
+        sdfg = cond_consumer.to_sdfg().copy()
         fuse_elementwise_maps(sdfg)
         assert "u" in sdfg.arrays  # consumer lives in another region
 
@@ -231,7 +231,7 @@ class TestCrossStateFusionGuards:
             v = u * 3.0
             return np.sum(v)
 
-        sdfg = clobber.to_sdfg()
+        sdfg = clobber.to_sdfg().copy()
         fuse_elementwise_maps(sdfg)
         assert "u" in sdfg.arrays  # u's operand no longer holds P-time values
 
